@@ -775,13 +775,17 @@ def _census_instances(max_q: int, max_d: int) -> list[tuple[Triple, tuple[str, .
         for label, H in (("m22", mathieu("M22")), ("aut_m22", mathieu("AutM22"))):
             rows.append(
                 (
-                    pair_graph(H, design_out(steiner), group_label=label),
+                    pair_graph(
+                        H, design_out(steiner), group_label=label, design_label="s22"
+                    ),
                     ("1.2(b)(iii.1)",),
                 )
             )
             rows.append(
                 (
-                    pair_graph(H, design_in(steiner), group_label=label),
+                    pair_graph(
+                        H, design_in(steiner), group_label=label, design_label="s22"
+                    ),
                     ("1.2(b)(iii.2)",),
                 )
             )
@@ -804,13 +808,17 @@ def _census_instances(max_q: int, max_d: int) -> list[tuple[Triple, tuple[str, .
         m11 = mathieu("M11on12")
         rows.append(
             (
-                pair_graph(m11, design_out(twelve), group_label="m11_12"),
+                pair_graph(
+                    m11, design_out(twelve), group_label="m11_12", design_label="h12"
+                ),
                 ("1.2(b)(iii.1)",),
             )
         )
         rows.append(
             (
-                pair_graph(m11, design_in(twelve), group_label="m11_12"),
+                pair_graph(
+                    m11, design_in(twelve), group_label="m11_12", design_label="h12"
+                ),
                 ("1.2(b)(iii.2)",),
             )
         )

@@ -24,7 +24,7 @@ import argparse
 import json
 import re
 import sys
-from typing import IO, NamedTuple, Optional
+from typing import IO, Callable, NamedTuple, Optional
 
 from .classify import (
     HYPOTHESIS_NAMES,
@@ -63,6 +63,7 @@ from .graphs import (
     recognize_structure,
 )
 from .groups_catalog import (
+    _MATHIEU_EXPECT,
     agl,
     m_group,
     mathieu,
@@ -72,6 +73,7 @@ from .groups_catalog import (
     sym_alt,
     z24_a7,
 )
+from .permgroup import DEGREE_CAP, PermutationGroup
 
 SCHEMA = "symquot/1"
 
@@ -173,33 +175,54 @@ def parse_tag(text: str) -> Request:
     return Request(head, tuple((k, got[k]) for k in allowed if k in got))
 
 
-def _resolve_group(token: str):
-    m = re.fullmatch(r"s(\d+)", token)
-    if m:
-        return sym_alt(int(m.group(1)), False)
-    m = re.fullmatch(r"a(\d+)", token)
-    if m:
-        return sym_alt(int(m.group(1)), True)
+# Group tags with integer parameters: (pattern, degree, builder).  The
+# degree is read off the tag alone, so an oversize request is refused
+# before any group is built; None leaves the refusal to the builder (the
+# catalog has binary affine groups up to 64 points only).  Builders look
+# the catalog functions up when called, not when this table is built.
+_NUMBERED_GROUPS = (
+    (r"s(\d+)", lambda n: n, lambda n: sym_alt(n, False)),
+    (r"a(\d+)", lambda n: n, lambda n: sym_alt(n, True)),
+    (r"agl_d(\d+)", lambda d: 2 ** d if d <= 6 else None, lambda d: agl(d, 2)),
+    (r"pgl2_q(\d+)", lambda q: q + 1, lambda q: pgl2(q)),
+    (r"psl2_q(\d+)", lambda q: q + 1, lambda q: psl2(q)),
+    (r"pgammal_q(\d+)_s(\d+)", lambda q, s: q + 1, lambda q, s: pgammal_subgroup(q, s)),
+    (r"m_s(\d+)_q(\d+)", lambda s, q: q + 1, lambda s, q: m_group(s, q)),
+)
+
+
+def _group_spec(token: str) -> tuple[Optional[int], Callable[[], PermutationGroup]]:
+    """The degree a group tag names, and a builder for the group."""
     if token in _MATHIEU_TAGS:
-        return mathieu(_MATHIEU_TAGS[token])
-    m = re.fullmatch(r"agl_d(\d+)", token)
-    if m:
-        return agl(int(m.group(1)), 2)
+        name = _MATHIEU_TAGS[token]
+        return _MATHIEU_EXPECT[name][0], lambda: mathieu(name)
     if token == "z24_a7":
-        return z24_a7()
-    m = re.fullmatch(r"pgl2_q(\d+)", token)
-    if m:
-        return pgl2(int(m.group(1)))
-    m = re.fullmatch(r"psl2_q(\d+)", token)
-    if m:
-        return psl2(int(m.group(1)))
-    m = re.fullmatch(r"pgammal_q(\d+)_s(\d+)", token)
-    if m:
-        return pgammal_subgroup(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"m_s(\d+)_q(\d+)", token)
-    if m:
-        return m_group(int(m.group(1)), int(m.group(2)))
+        return 16, z24_a7
+    for pattern, degree, build in _NUMBERED_GROUPS:
+        m = re.fullmatch(pattern, token)
+        if m:
+            try:
+                args = [int(x) for x in m.groups()]
+            except ValueError:  # past the interpreter's digit limit
+                raise CatalogError(f"group tag {token!r} has too many digits") from None
+            return degree(*args), lambda: build(*args)
     raise CatalogError(f"unknown group tag {token!r}")
+
+
+def _resolve_group(token: str) -> PermutationGroup:
+    return _group_spec(token)[1]()
+
+
+def _resolve_pair_group(token: str) -> PermutationGroup:
+    """The group of a pair or match tag, refused before it is built when
+    its ordered pairs would exceed DEGREE_CAP."""
+    m, build = _group_spec(token)
+    if m is not None and m * (m - 1) > DEGREE_CAP:
+        raise ConstructionError(
+            f"group {token} moves {m} points: {m * (m - 1)} ordered pairs "
+            f"exceed the degree cap {DEGREE_CAP}"
+        )
+    return build()
 
 
 def _resolve_design(token: str):
@@ -224,9 +247,9 @@ def build_triple(req: Request) -> Triple:
         build = cross_ratio_graph if req.kind == "cr" else twisted_cross_ratio_graph
         return build(int(f["q"]), int(f["d"]), int(f["s"]))
     if req.kind == "match":
-        return matching_graph(_resolve_group(f["group"]), group_label=f["group"])
+        return matching_graph(_resolve_pair_group(f["group"]), group_label=f["group"])
     if req.kind == "pair":
-        group = _resolve_group(f["group"])
+        group = _resolve_pair_group(f["group"])
         name = f["rule"]
         if name in _DESIGN_PAIR_RULES:
             if "design" not in f:
@@ -239,7 +262,9 @@ def build_triple(req: Request) -> Triple:
             rule = _PAIR_RULES[name]
         else:
             raise ConstructionError(f"unknown pair rule {name!r}")
-        return pair_graph(group, rule, group_label=f["group"])
+        return pair_graph(
+            group, rule, group_label=f["group"], design_label=f.get("design")
+        )
     assert req.kind == "flag"
     rule = _FLAG_RULES.get(f["rule"])
     if rule is None:

@@ -25,7 +25,7 @@ from .graphs import (
     quotient_graph,
 )
 from .groups_catalog import _field_for, m_group, pgammal_subgroup
-from .permgroup import Permutation, PermutationGroup
+from .permgroup import LiftedGroup, Permutation, PermutationGroup
 
 
 class Provenance(NamedTuple):
@@ -104,8 +104,10 @@ M22_MEET_TWO = FlagRule("m22_meet_two")
 # ---------------------------------------------------------------------------
 # Shared plumbing.
 
-def pair_action(G: PermutationGroup) -> PermutationGroup:
-    """The coordinate-wise action on ordered distinct pairs of the domain."""
+def pair_action(G: PermutationGroup) -> LiftedGroup:
+    """The coordinate-wise action on ordered distinct pairs of the domain,
+    fibred by first coordinate; faithful because the domain has at least
+    three points."""
     m = G.degree
     if m < 3:
         raise ConstructionError("pair domain needs at least three points")
@@ -119,7 +121,7 @@ def pair_action(G: PermutationGroup) -> PermutationGroup:
                 if i != j:
                     images[pair_index(m, i, j)] = pair_index(m, im[i], im[j])
         gens.append(Permutation(images))
-    return PermutationGroup(npairs, gens)
+    return LiftedGroup(npairs, gens, G, pair_partition(m).blocks)
 
 
 def pair_partition(m: int) -> Partition:
@@ -236,8 +238,14 @@ def _design_foursets(D: IncidenceStructure) -> set[frozenset[int]]:
 
 
 def pair_graph(
-    G: PermutationGroup, rule: PairRule, group_label: str | None = None
+    G: PermutationGroup,
+    rule: PairRule,
+    group_label: str | None = None,
+    design_label: str | None = None,
 ) -> Triple:
+    """Ordered pairs of G's points, adjacent by the rule.  A design rule
+    is tagged with ``design_label`` when given, else with the design's
+    counted shape ``v<points>b<blocks>``."""
     m = G.degree
     if m < 3:
         raise ConstructionError("need at least three points")
@@ -297,7 +305,8 @@ def pair_graph(
     if group_label:
         params.append(("group", group_label))
     if rule.design is not None:
-        params.append(("design", f"v{rule.design.v}b{rule.design.b}"))
+        D = rule.design
+        params.append(("design", design_label or f"v{D.v}b{D.b}"))
     params.append(("rule", rule.tag))
     prov = Provenance("pair", tuple(params))
     return Triple(graph, pair_action(G), pair_partition(m), prov)
@@ -386,7 +395,6 @@ def flag_graph(
             target = tuple(sorted(g(x) for x in D.blocks[bi]))
             images[a] = flag_of[(g(p), block_index[target])]
         gens.append(Permutation(images))
-    flag_group = PermutationGroup(nf, gens)
 
     blocks = []
     start = 0
@@ -394,7 +402,10 @@ def flag_graph(
         count = sum(1 for f in flag_list if f[0] == p)
         blocks.append(tuple(range(start, start + count)))
         start += count
+    # Partition refuses an empty block, so every point lies on a flag and
+    # the lift is faithful.
     partition = Partition(blocks)
+    flag_group = LiftedGroup(nf, gens, G, partition.blocks)
 
     params = []
     if design_label:

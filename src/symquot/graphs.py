@@ -600,6 +600,13 @@ def graph_to_dimacs(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dimacs_ints(fields: list[str], line: str) -> list[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise GraphError(f"bad number in line: {line!r}") from None
+
+
 def graph_from_dimacs(text: str) -> Graph:
     n = None
     declared = None
@@ -614,14 +621,14 @@ def graph_from_dimacs(text: str) -> Graph:
                 raise GraphError("duplicate problem line")
             if len(fields) != 4 or fields[1] != "edge":
                 raise GraphError(f"bad problem line: {line!r}")
-            n, declared = int(fields[2]), int(fields[3])
+            n, declared = _dimacs_ints(fields[2:], line)
         elif fields[0] == "e":
             if n is None:
                 raise GraphError("edge before problem line")
             if len(fields) != 3:
                 raise GraphError(f"bad edge line: {line!r}")
-            u, v = int(fields[1]) - 1, int(fields[2]) - 1
-            edges.append((u, v))
+            u, v = _dimacs_ints(fields[1:], line)
+            edges.append((u - 1, v - 1))
         else:
             raise GraphError(f"unrecognized line: {line!r}")
     if n is None:

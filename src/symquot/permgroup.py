@@ -10,6 +10,12 @@ coordinate is empty for ordinary groups; induced_action uses it to drag
 preimage permutations through the sifting of the block-action chain, which
 yields an exact kernel-triviality certificate without a stabilizer chain on
 the (possibly much larger) original domain.
+
+A LiftedGroup is the faithful lift of a small point group (ordered pairs
+or flags over its points).  It answers order() and the action on its
+fibres from the point group, with no chain on the lifted domain; other
+questions, and every plain PermutationGroup (foreign triples included),
+keep Schreier-Sims and the kernel certificate above.
 """
 
 from __future__ import annotations
@@ -565,6 +571,43 @@ class PermutationGroup:
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, gens={len(self.generators)})"
+
+
+class LiftedGroup(PermutationGroup):
+    """A faithful lift of a point group onto a larger domain.
+
+    ``generators[i]`` is the lift of ``point_group.generators[i]``, and
+    ``fibres[p]`` lists the lifted points lying over point p (ordered
+    pairs with first coordinate p, or flags through p).  The builder
+    guarantees faithfulness, so the order and the action on the fibres
+    come from the point group; every other question, and the action on
+    any other partition, takes the generic path.
+    """
+
+    def __init__(
+        self,
+        degree: int,
+        generators: Sequence[Permutation],
+        point_group: PermutationGroup,
+        fibres: Sequence[Sequence[int]],
+    ):
+        super().__init__(degree, generators)
+        self.point_group = point_group
+        self.fibres = tuple(tuple(f) for f in fibres)
+
+    def order(self) -> int:
+        return self.point_group.order()
+
+    def induced_action(
+        self, blocks: Sequence[Sequence[int]]
+    ) -> tuple[PermutationGroup, bool]:
+        if tuple(tuple(sorted(b)) for b in blocks) != self.fibres:
+            return super().induced_action(blocks)
+        P = self.point_group
+        distinct = list(dict.fromkeys(g.images for g in P.generators))
+        if len(distinct) == len(P.generators):
+            return P, True
+        return PermutationGroup(P.degree, [Permutation(t) for t in distinct]), True
 
 
 def group_from_generators(gens: Sequence[Permutation], degree: int | None = None) -> PermutationGroup:

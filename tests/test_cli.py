@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -85,14 +86,23 @@ class TestBuild:
     def test_provenance_matches_request(self, tag):
         assert build_triple(parse_tag(tag)).provenance.tag == tag
 
-    def test_design_rule_provenance_uses_measured_descriptor(self):
-        # The request keeps the catalog alias; the built triple records
-        # the design by its counted shape.
+    def test_design_rule_provenance_keeps_request_token(self):
+        # The built triple records the design by the catalog alias the
+        # request used, so its tag builds again.
         req = parse_tag("pair:group=m11_12:design=h12:rule=design_out")
         T = build_triple(req)
         assert req.tag == "pair:group=m11_12:design=h12:rule=design_out"
-        assert T.provenance.tag == "pair:group=m11_12:design=v12b22:rule=design_out"
+        assert T.provenance.tag == req.tag
         assert T.graph.n == 132
+
+    def test_census_tags_rebuild(self):
+        from symquot.classify import _census_instances
+        from symquot.graphs import graph_to_graph6
+
+        for T, _ in _census_instances(9, 3):
+            again = build_triple(parse_tag(T.provenance.tag))
+            assert again.provenance.tag == T.provenance.tag
+            assert graph_to_graph6(again.graph) == graph_to_graph6(T.graph)
 
 
 class TestClassifyVerb:
@@ -246,6 +256,40 @@ class TestExitCodes:
         assert code == want
         assert out == ""
         assert err.startswith("symquot: ")
+
+    OVERSIZE = [
+        "match:group=s200",
+        "pair:group=a101:rule=all_distinct",
+        "pair:group=pgl2_q101:rule=same_second",
+        "match:group=m_s1_q121",
+        "star:pair:group=s1000000:rule=all_distinct",
+    ]
+
+    @pytest.mark.parametrize("tag", OVERSIZE)
+    def test_oversize_pair_domain_refused_up_front(self, tag):
+        t0 = time.perf_counter()
+        code, out, err = invoke("construct", tag)
+        assert time.perf_counter() - t0 < 5
+        assert code == 1 and out == ""
+        assert err.startswith("symquot: ") and err.count("\n") == 1
+        assert "degree cap" in err
+
+    GROUP_TOKENS = [
+        "s5", "a7", "agl_d3", "m11", "m11_12", "m22", "z24_a7",
+        "pgl2_q7", "psl2_q11", "pgammal_q8_s1", "m_s1_q9",
+    ]
+
+    @pytest.mark.parametrize("token", GROUP_TOKENS)
+    def test_predicted_degree_matches_group(self, token):
+        from symquot.cli import _group_spec
+
+        degree, build = _group_spec(token)
+        assert degree == build().degree
+
+    def test_overlong_group_number_is_a_domain_error(self):
+        code, out, err = invoke("construct", "match:group=s" + "9" * 5000)
+        assert code == 1 and out == ""
+        assert err.startswith("symquot: ") and "too many digits" in err
 
     def test_usage_errors_from_argparse(self):
         assert invoke()[0] == 2

@@ -42,8 +42,8 @@ from symquot.graphs import (
     quotient_graph,
     recognize_structure,
 )
-from symquot.groups_catalog import agl, mathieu, sym_alt
-from symquot.permgroup import PermutationGroup
+from symquot.groups_catalog import agl, mathieu, pgl2, sym_alt
+from symquot.permgroup import LiftedGroup, Permutation, PermutationGroup
 
 
 def measure(triple):
@@ -89,8 +89,95 @@ class TestPairAction:
     @given(st.integers(min_value=3, max_value=7))
     @settings(max_examples=10, deadline=None)
     def test_faithful(self, m):
+        # the point-group order agrees with Schreier-Sims on the pairs
         G = sym_alt(m, False)
-        assert pair_action(G).order() == G.order()
+        L = pair_action(G)
+        assert L.order() == PermutationGroup(L.degree, L.generators).order()
+        assert L.order() == G.order()
+
+
+def _plain(L):
+    """The same generators as a plain group, so every answer comes from
+    Schreier-Sims on the lifted domain."""
+    return PermutationGroup(L.degree, L.generators)
+
+
+def _images(G):
+    return [g.images for g in G.generators]
+
+
+PAIR_LIFTS = {
+    **{f"s{m}": (lambda m=m: sym_alt(m, False)) for m in range(3, 8)},
+    "a6": lambda: sym_alt(6, True),
+    "agl_d3": lambda: agl(3, 2),
+    "pgl2_q7": lambda: pgl2(7),
+}
+FLAG_LIFTS = {
+    "ag_d3/agl_d3": lambda: flag_graph(AG3, agl(3, 2), SAME_BLOCK),
+    "h12/m11_12": lambda: flag_graph(
+        design_3_12_6_2(), mathieu("M11on12"), SAME_BLOCK
+    ),
+}
+
+
+def _lifted_groups():
+    out = []
+    for name, make in PAIR_LIFTS.items():
+        out.append(pytest.param(lambda make=make: pair_action(make()), id=name))
+    for name, make in FLAG_LIFTS.items():
+        out.append(pytest.param(lambda make=make: make().group, id=name))
+    return out
+
+
+class TestLiftedGroup:
+    """The point-group answers of a lift against the generic path on the
+    same generators."""
+
+    @pytest.mark.parametrize("make", _lifted_groups())
+    def test_order_matches_schreier_sims(self, make):
+        L = make()
+        assert isinstance(L, LiftedGroup)
+        assert L.order() == _plain(L).order() == L.point_group.order()
+        assert L._chain is None  # no chain was built on the lifted domain
+
+    @pytest.mark.parametrize("make", _lifted_groups())
+    def test_fibre_action_matches_generic(self, make):
+        L = make()
+        img, faithful = L.induced_action(L.fibres)
+        want, want_faithful = _plain(L).induced_action(L.fibres)
+        assert img.degree == want.degree == L.point_group.degree
+        assert _images(img) == _images(want)
+        assert faithful is want_faithful is True
+        assert L._chain is None
+
+    def test_fibres_are_the_triple_partition(self):
+        for T in (
+            pair_graph(sym_alt(5, False), SAME_SECOND),
+            flag_graph(AG3, agl(3, 2), SAME_BLOCK),
+            star_transform(pair_graph(sym_alt(5, False), ALL_DISTINCT)),
+        ):
+            assert isinstance(T.group, LiftedGroup)
+            assert T.group.fibres == T.partition.blocks
+
+    def test_other_partitions_take_the_generic_path(self):
+        L = pair_action(sym_alt(4, False))
+        # one block: the whole group is kernel
+        img, faithful = L.induced_action([range(L.degree)])
+        assert img.order() == 1 and not faithful
+        # the fibres in another order relabel the points
+        swapped = [L.fibres[1], L.fibres[0]] + list(L.fibres[2:])
+        got = L.induced_action(swapped)
+        want = _plain(L).induced_action(swapped)
+        assert _images(got[0]) == _images(want[0]) and got[1] == want[1]
+        assert _images(got[0]) != _images(L.point_group)
+
+    def test_duplicate_point_generators_collapse(self):
+        c = Permutation.from_cycles(3, [(0, 1, 2)])
+        G = PermutationGroup(3, [c, c])
+        L = pair_action(G)
+        img, faithful = L.induced_action(L.fibres)
+        assert _images(img) == _images(_plain(L).induced_action(L.fibres)[0])
+        assert _images(img) == [c.images] and faithful
 
 
 def _valid_cr_triples(qs):

@@ -346,6 +346,20 @@ class TestSerialization:
         with pytest.raises(GraphError):
             graph_from_dimacs("e 1 2\np edge 3 1\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p edge x 3\n",
+            "p edge 3 1.5\n",
+            "p edge 3 1\ne 1 y\n",
+            "p edge 3 1\ne - 2\n",
+        ],
+        ids=["problem_n", "problem_edges", "edge_head", "edge_tail"],
+    )
+    def test_dimacs_bad_number(self, text):
+        with pytest.raises(GraphError, match="bad number"):
+            graph_from_dimacs(text)
+
     def test_json_roundtrip(self):
         g = complete_multipartite_graph([2, 2, 2])
         assert graph_from_json(graph_to_json(g)) == g
