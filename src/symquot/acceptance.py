@@ -27,23 +27,14 @@ from .classify import (
     orbit_length_check,
 )
 from .constructions import (
-    AFFINE_PLANE,
-    ALL_DISTINCT,
-    COMMON_TWO_POINTS,
-    DISJOINT_BLOCKS,
-    M22_DISJOINT,
-    M22_MEET_TWO,
-    SAME_BLOCK,
     Triple,
+    build_triple,
     cross_ratio_graph,
-    design_in,
-    design_out,
-    flag_graph,
-    pair_graph,
+    parse_tag,
     star_transform,
     twisted_cross_ratio_graph,
 )
-from .designs import ag_design, design_3_12_6_2, steiner_3_22_6
+from .designs import design_3_12_6_2, steiner_3_22_6
 from .errors import (
     ClassificationError,
     ConstructionError,
@@ -56,7 +47,7 @@ from .graphs import (
     quotient_graph,
     recognize_structure,
 )
-from .groups_catalog import _field_for, agl, mathieu, sym_alt, z24_a7
+from .groups_catalog import _field_for, agl, mathieu, z24_a7
 
 BUDGET_SECONDS = {
     1: 1.0,
@@ -92,96 +83,35 @@ class CriterionResult(NamedTuple):
     detail: str
 
 
-@lru_cache(maxsize=None)
-def _group(name: str):
-    builders = {
-        "s5": lambda: sym_alt(5, False),
-        "agl3": lambda: agl(3, 2),
-        "agl4": lambda: agl(4, 2),
-        "m22": lambda: mathieu("M22"),
-        "m11_12": lambda: mathieu("M11on12"),
-    }
-    return builders[name]()
-
-
-@lru_cache(maxsize=None)
-def _design(name: str):
-    builders = {
-        "ag3": lambda: ag_design(3, 2),
-        "ag4": lambda: ag_design(4, 3),
-        "s22": steiner_3_22_6,
-        "h12": design_3_12_6_2,
-    }
-    return builders[name]()
-
-
-_BUILDERS: dict[str, Callable[[], Triple]] = {
-    "cr3": lambda: cross_ratio_graph(3, 2, 1),
-    "cr5": lambda: cross_ratio_graph(5, 4, 1),
-    "tcr81": lambda: twisted_cross_ratio_graph(81, 3, 2),
-    "pair_plane_d3": lambda: pair_graph(_group("agl3"), AFFINE_PLANE),
-    "pair_distinct_s5": lambda: pair_graph(_group("s5"), ALL_DISTINCT),
-    "pair_out_22": lambda: pair_graph(_group("m22"), design_out(_design("s22"))),
-    "pair_in_22": lambda: pair_graph(_group("m22"), design_in(_design("s22"))),
-    "pair_out_12": lambda: pair_graph(_group("m11_12"), design_out(_design("h12"))),
-    "pair_in_12": lambda: pair_graph(_group("m11_12"), design_in(_design("h12"))),
-    "flag_same_d3": lambda: flag_graph(_design("ag3"), _group("agl3"), SAME_BLOCK),
-    "flag_same_d4": lambda: flag_graph(_design("ag4"), _group("agl4"), SAME_BLOCK),
-    "flag_disjoint_d3": lambda: flag_graph(
-        _design("ag3"), _group("agl3"), DISJOINT_BLOCKS
-    ),
-    "flag_disjoint_d4": lambda: flag_graph(
-        _design("ag4"), _group("agl4"), DISJOINT_BLOCKS
-    ),
-    "flag_common_d3": lambda: flag_graph(
-        _design("ag3"), _group("agl3"), COMMON_TWO_POINTS
-    ),
-    "flag_common_d4": lambda: flag_graph(
-        _design("ag4"), _group("agl4"), COMMON_TWO_POINTS
-    ),
-    "flag_same_22": lambda: flag_graph(_design("s22"), _group("m22"), SAME_BLOCK),
-    "flag_far_22": lambda: flag_graph(_design("s22"), _group("m22"), M22_DISJOINT),
-    "flag_meet_two_22": lambda: flag_graph(
-        _design("s22"), _group("m22"), M22_MEET_TWO
-    ),
-    "flag_same_12": lambda: flag_graph(_design("h12"), _group("m11_12"), SAME_BLOCK),
-    "flag_disjoint_12": lambda: flag_graph(
-        _design("h12"), _group("m11_12"), DISJOINT_BLOCKS
-    ),
+# name -> (tag, verdicts its constructor declares); criterion 8 replays
+# every one through the classifier.
+_FIXTURES = {
+    "cr3": ("cr:q=3:d=2:s=1", _cr_expected(3, 1)),
+    "cr5": ("cr:q=5:d=4:s=1", _cr_expected(5, 1)),
+    "tcr81": ("tcr:q=81:d=3:s=2", _cr_expected(81, 2)),
+    "pair_plane_d3": ("pair:group=agl_d3:rule=affine_plane", ("1.1(b)(iv)",)),
+    "pair_distinct_s5": ("pair:group=s5:rule=all_distinct", ("1.2(b)(i)",)),
+    "pair_out_22": ("pair:group=m22:design=s22:rule=design_out", ("1.2(b)(iii.1)",)),
+    "pair_in_22": ("pair:group=m22:design=s22:rule=design_in", ("1.2(b)(iii.2)",)),
+    "pair_out_12": ("pair:group=m11_12:design=h12:rule=design_out", ("1.2(b)(iii.1)",)),
+    "pair_in_12": ("pair:group=m11_12:design=h12:rule=design_in", ("1.2(b)(iii.2)",)),
+    "flag_same_d3": ("flag:design=ag_d3:group=agl_d3:rule=same_block", ("1.1(c)(i)",)),
+    "flag_same_d4": ("flag:design=ag_d4:group=agl_d4:rule=same_block", ("1.1(c)(i)",)),
+    "flag_disjoint_d3": ("flag:design=ag_d3:group=agl_d3:rule=disjoint_blocks", ("1.1(d)",)),
+    "flag_disjoint_d4": ("flag:design=ag_d4:group=agl_d4:rule=disjoint_blocks", ("1.1(d)",)),
+    "flag_common_d3": ("flag:design=ag_d3:group=agl_d3:rule=common_two_points", ("1.2(c)(i)",)),
+    "flag_common_d4": ("flag:design=ag_d4:group=agl_d4:rule=common_two_points", ("1.2(c)(i)",)),
+    "flag_same_22": ("flag:design=s22:group=m22:rule=same_block", ("1.1(c)(ii)",)),
+    "flag_far_22": ("flag:design=s22:group=m22:rule=m22_disjoint", ("1.2(c)(iii)",)),
+    "flag_meet_two_22": ("flag:design=s22:group=m22:rule=m22_meet_two", ("1.2(c)(iii)",)),
+    "flag_same_12": ("flag:design=h12:group=m11_12:rule=same_block", ("1.1(c)(iii)",)),
+    "flag_disjoint_12": ("flag:design=h12:group=m11_12:rule=disjoint_blocks", ("1.1(d)",)),
 }
 
-# Verdict each named fixture's constructor declares; the closed loop in
-# criterion 8 replays every one through the classifier.
-_DECLARED = {
-    "cr3": _cr_expected(3, 1),
-    "cr5": _cr_expected(5, 1),
-    "tcr81": _cr_expected(81, 2),
-    "pair_plane_d3": ("1.1(b)(iv)",),
-    "pair_distinct_s5": ("1.2(b)(i)",),
-    "pair_out_22": ("1.2(b)(iii.1)",),
-    "pair_in_22": ("1.2(b)(iii.2)",),
-    "pair_out_12": ("1.2(b)(iii.1)",),
-    "pair_in_12": ("1.2(b)(iii.2)",),
-    "flag_same_d3": ("1.1(c)(i)",),
-    "flag_same_d4": ("1.1(c)(i)",),
-    "flag_disjoint_d3": ("1.1(d)",),
-    "flag_disjoint_d4": ("1.1(d)",),
-    "flag_common_d3": ("1.2(c)(i)",),
-    "flag_common_d4": ("1.2(c)(i)",),
-    "flag_same_22": ("1.1(c)(ii)",),
-    "flag_far_22": ("1.2(c)(iii)",),
-    "flag_meet_two_22": ("1.2(c)(iii)",),
-    "flag_same_12": ("1.1(c)(iii)",),
-    "flag_disjoint_12": ("1.1(d)",),
-}
 
-_CACHE: dict[str, Triple] = {}
-
-
+@lru_cache(maxsize=None)
 def _triple(name: str) -> Triple:
-    if name not in _CACHE:
-        _CACHE[name] = _BUILDERS[name]()
-    return _CACHE[name]
+    return build_triple(parse_tag(_FIXTURES[name][0]))
 
 
 def _shape(T: Triple):
@@ -399,7 +329,7 @@ def _criterion_8() -> list[str]:
         verdict = classify_triple(T).theorem_case
         if verdict not in _cr_expected(9, 1):
             fails.append(f"tcr:q=9:d={idx}:s=2 classified {verdict}")
-    for name, want in _DECLARED.items():
+    for name, (_, want) in _FIXTURES.items():
         verdict = classify_triple(_triple(name)).theorem_case
         if verdict not in want:
             fails.append(f"{name} classified {verdict}, declared {want}")
@@ -418,7 +348,7 @@ def _criterion_9() -> list[str]:
 
     counted = [T for _, _, _, _, T in _cr_sweep()]
     counted += [T for _, sq, T in _tcr9_cases() if sq]
-    counted += [_triple(name) for name in _BUILDERS]
+    counted += [_triple(name) for name in _FIXTURES]
     for T in counted:
         P = compute_params(T)
         if P.v * P.s != P.b * P.m or P.v * P.r != P.b * P.k:
@@ -446,15 +376,15 @@ def _criterion_9() -> list[str]:
             fails.append(f"{name} star transform applied twice moved edges")
 
     for label, got, want in (
-        ("22-point Mathieu group", _group("m22").order(), 443520),
-        ("11-point Mathieu group on 12 points", _group("m11_12").order(), 7920),
-        ("rank-4 binary affine group", _group("agl4").order(), 322560),
+        ("22-point Mathieu group", mathieu("M22").order(), 443520),
+        ("11-point Mathieu group on 12 points", mathieu("M11on12").order(), 7920),
+        ("rank-4 binary affine group", agl(4, 2).order(), 322560),
         ("binary translation extension", z24_a7().order(), 40320),
     ):
         if got != want:
             fails.append(f"{label} has order {got}, not {want}")
 
-    D = _design("s22")
+    D = steiner_3_22_6()
     dp = D.params()
     if D.b != 77 or dp.lambda_t(3) != 1:
         fails.append(f"22-point design has b={D.b}, lambda_3={dp.lambdas}")
@@ -489,7 +419,7 @@ def _criterion_9() -> list[str]:
             continue
         break
 
-    H = _design("h12")
+    H = design_3_12_6_2()
     hp = H.params()
     blocks = set(H.blocks)
     closed = all(

@@ -10,11 +10,11 @@ every hypothesis but matches no signature gets the literal verdict
 ``"Unmatched"``; that is a supported outcome for exploratory inputs,
 not an error.
 
-``census`` rebuilds every family instance within given size caps and
-feeds each back through the classifier, asserting that nothing escapes
-the lists.  ``orbit_length_check`` measures point stabilizer orbits on
-a neighbouring block against the tabulated patterns of the three flag
-geometries.
+``census`` builds every family instance within given size caps from
+its tag and feeds each back through the classifier, asserting that
+nothing escapes the lists.  ``orbit_length_check`` measures point
+stabilizer orbits on a neighbouring block against the tabulated
+patterns of the three flag geometries.
 """
 
 from __future__ import annotations
@@ -23,34 +23,9 @@ import math
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .constructions import (
-    AFFINE_NON_PLANE,
-    AFFINE_PLANE,
-    ALL_DISTINCT,
-    COMMON_TWO_POINTS,
-    DISJOINT_BLOCKS,
-    M22_DISJOINT,
-    M22_MEET_TWO,
-    OPPOSITE_NON_COMPLEMENT,
-    SAME_BLOCK,
-    SAME_SECOND,
-    Triple,
-    cross_ratio_graph,
-    design_in,
-    design_out,
-    flag_graph,
-    matching_graph,
-    pair_graph,
-    twisted_cross_ratio_graph,
-)
-from .designs import (
-    IncidenceStructure,
-    ag_design,
-    design_3_12_6_2,
-    design_from_partition,
-    steiner_3_22_6,
-)
-from .errors import ClassificationError, NotSelfPairedError, SymquotError
+from .constructions import Triple, build_triple, group_token, parse_tag
+from .designs import IncidenceStructure, design_from_partition
+from .errors import ClassificationError, SymquotError
 from .graphs import (
     Graph,
     Partition,
@@ -61,14 +36,7 @@ from .graphs import (
     quotient_graph,
     recognize_structure,
 )
-from .groups_catalog import (
-    _field_for,
-    agl,
-    mathieu,
-    sym_alt,
-    three_transitive_pgammal_list,
-    z24_a7,
-)
+from .groups_catalog import _field_for, three_transitive_pgammal_list
 from .permgroup import PermutationGroup
 
 M22_ORDERS = frozenset({443520, 887040})
@@ -650,35 +618,29 @@ class CensusRow(NamedTuple):
     verdict: ClassificationVerdict
 
 
-def _census_point_groups(m: int) -> list[tuple[str, PermutationGroup, bool]]:
-    # Triples (label, group, is 4-transitive) for every catalogued
-    # 3-transitive action on m points, deduplicated by order against the
-    # symmetric and alternating rows.
-    out: list[tuple[str, PermutationGroup, bool]] = [
-        (f"s{m}", sym_alt(m, False), True)
-    ]
+def _census_point_groups(m: int) -> list[tuple[str, bool]]:
+    # (group tag, is 4-transitive) for every catalogued 3-transitive
+    # action on m points, deduplicated by order against the symmetric and
+    # alternating rows.
+    out = [(f"s{m}", True)]
     if m >= 5:
-        out.append((f"a{m}", sym_alt(m, True), m >= 6))
+        out.append((f"a{m}", m >= 6))
     if m == 11:
-        out.append(("m11", mathieu("M11on11"), True))
+        out.append(("m11", True))
     if m == 12:
-        out.append(("m11_12", mathieu("M11on12"), False))
-        out.append(("m12", mathieu("M12"), True))
+        out.append(("m11_12", False))
+        out.append(("m12", True))
     d = _binary_dim(m)
     if d is not None and 3 <= d <= 6:
-        out.append((f"agl_d{d}", agl(d, 2), False))
+        out.append((f"agl_d{d}", False))
         if d == 4:
-            out.append(("z24_a7", z24_a7(), False))
+            out.append(("z24_a7", False))
     q = m - 1
     if q >= 3 and _prime_power(q) is not None:
         fact = math.factorial(m)
         for gtag, H in three_transitive_pgammal_list(q):
-            if H.order() in (fact, fact // 2):
-                continue
-            label = "_".join(
-                [gtag.name] + [f"{key}{val}" for key, val in gtag.params]
-            )
-            out.append((label, H, False))
+            if H.order() not in (fact, fact // 2):
+                out.append((group_token(gtag), False))
     return out
 
 
@@ -692,35 +654,34 @@ def _cr_expected(q: int, t: int) -> tuple[str, ...]:
     return ("1.2(b)(ii)",)
 
 
-def _census_instances(max_q: int, max_d: int) -> list[tuple[Triple, tuple[str, ...]]]:
-    rows: list[tuple[Triple, tuple[str, ...]]] = []
+def _census_instances(max_q: int, max_d: int) -> list[tuple[str, tuple[str, ...]]]:
+    """(tag, declared verdicts) of every family instance inside the caps."""
+    rows: list[tuple[str, tuple[str, ...]]] = []
     for q in range(3, max_q + 1):
         pp = _prime_power(q)
         if pp is None:
             continue
         field = _field_for(q)
+        one = field.element(1)
         p, n = pp
         for idx in range(2, q):
-            sd = field.subfield_degree(field.element(idx))
+            el = field.element(idx)
+            sd = field.subfield_degree(el)
             for s in range(1, sd + 1):
                 if sd % s:
                     continue
-                rows.append((cross_ratio_graph(q, idx, s), _cr_expected(q, sd // s)))
-            if p != 2 and n % 2 == 0 and sd % 2 == 0:
+                rows.append((f"cr:q={q}:d={idx}:s={s}", _cr_expected(q, sd // s)))
+            # the twisted base orbital is self-paired only when d - 1 is
+            # a square; otherwise the builder raises NotSelfPairedError
+            if p != 2 and n % 2 == 0 and sd % 2 == 0 and field.is_square(el - one):
                 for s in range(2, sd + 1, 2):
                     if sd % s:
                         continue
-                    try:
-                        T = twisted_cross_ratio_graph(q, idx, s)
-                    except NotSelfPairedError:
-                        continue
-                    rows.append((T, _cr_expected(q, sd // s)))
+                    rows.append((f"tcr:q={q}:d={idx}:s={s}", _cr_expected(q, sd // s)))
     for m in range(4, max_q + 2):
-        for label, H, four_transitive in _census_point_groups(m):
-            rows.append((matching_graph(H, group_label=label), ("1.1(b)(i)",)))
-            rows.append(
-                (pair_graph(H, SAME_SECOND, group_label=label), ("1.1(b)(ii)",))
-            )
+        for group, four_transitive in _census_point_groups(m):
+            rows.append((f"match:group={group}", ("1.1(b)(i)",)))
+            rows.append((f"pair:group={group}:rule=same_second", ("1.1(b)(ii)",)))
             if four_transitive:
                 # on 4 points the all-distinct graph is the smallest
                 # cross ratio graph, so the projective label applies
@@ -729,113 +690,61 @@ def _census_instances(max_q: int, max_d: int) -> list[tuple[Triple, tuple[str, .
                     if m == 4
                     else ("1.2(b)(i)",)
                 )
-                rows.append((pair_graph(H, ALL_DISTINCT, group_label=label), exp))
+                rows.append((f"pair:group={group}:rule=all_distinct", exp))
     for d in range(2, max_d + 1):
-        affine_groups = [(f"agl_d{d}", agl(d, 2))]
-        if d == 4:
-            affine_groups.append(("z24_a7", z24_a7()))
-        for label, H in affine_groups:
-            plane_exp = (
-                ("1.1(b)(iii)", "1.1(b)(iv)") if d == 2 else ("1.1(b)(iv)",)
-            )
-            rows.append(
-                (pair_graph(H, AFFINE_PLANE, group_label=label), plane_exp)
-            )
+        affine_groups = [f"agl_d{d}"] + (["z24_a7"] if d == 4 else [])
+        plane_exp = ("1.1(b)(iii)", "1.1(b)(iv)") if d == 2 else ("1.1(b)(iv)",)
+        for group in affine_groups:
+            rows.append((f"pair:group={group}:rule=affine_plane", plane_exp))
             if d >= 3:
                 rows.append(
-                    (
-                        pair_graph(H, AFFINE_NON_PLANE, group_label=label),
-                        ("1.2(b)(iii.1)",),
-                    )
+                    (f"pair:group={group}:rule=affine_non_plane", ("1.2(b)(iii.1)",))
                 )
         if d >= 3:
-            D = ag_design(d, d - 1)
-            dlabel = f"ag_d{d}"
-            for label, H in affine_groups:
+            for group in affine_groups:
                 for rule, exp in (
-                    (SAME_BLOCK, "1.1(c)(i)"),
-                    (DISJOINT_BLOCKS, "1.1(d)"),
-                    (COMMON_TWO_POINTS, "1.2(c)(i)"),
-                    (OPPOSITE_NON_COMPLEMENT, "1.2(c)(ii)"),
+                    ("same_block", "1.1(c)(i)"),
+                    ("disjoint_blocks", "1.1(d)"),
+                    ("common_two_points", "1.2(c)(i)"),
+                    ("opposite_non_complement", "1.2(c)(ii)"),
                 ):
                     rows.append(
-                        (
-                            flag_graph(
-                                D, H, rule,
-                                design_label=dlabel, group_label=label,
-                            ),
-                            (exp,),
-                        )
+                        (f"flag:design=ag_d{d}:group={group}:rule={rule}", (exp,))
                     )
     # the sporadic designs sit outside the field-size dial; they join
     # once max_q reaches the scale where the twisted families start
     if max_q >= 9:
-        steiner = steiner_3_22_6()
-        twelve = design_3_12_6_2()
-        for label, H in (("m22", mathieu("M22")), ("aut_m22", mathieu("AutM22"))):
+        for group in ("m22", "aut_m22"):
             rows.append(
-                (
-                    pair_graph(
-                        H, design_out(steiner), group_label=label, design_label="s22"
-                    ),
-                    ("1.2(b)(iii.1)",),
-                )
+                (f"pair:group={group}:design=s22:rule=design_out", ("1.2(b)(iii.1)",))
             )
             rows.append(
-                (
-                    pair_graph(
-                        H, design_in(steiner), group_label=label, design_label="s22"
-                    ),
-                    ("1.2(b)(iii.2)",),
-                )
+                (f"pair:group={group}:design=s22:rule=design_in", ("1.2(b)(iii.2)",))
             )
             for rule, exp in (
-                (SAME_BLOCK, "1.1(c)(ii)"),
-                (COMMON_TWO_POINTS, "1.2(c)(i)"),
-                (DISJOINT_BLOCKS, "1.2(c)(iii)"),
-                (M22_DISJOINT, "1.2(c)(iii)"),
-                (M22_MEET_TWO, "1.2(c)(iii)"),
+                ("same_block", "1.1(c)(ii)"),
+                ("common_two_points", "1.2(c)(i)"),
+                ("disjoint_blocks", "1.2(c)(iii)"),
+                ("m22_disjoint", "1.2(c)(iii)"),
+                ("m22_meet_two", "1.2(c)(iii)"),
             ):
                 rows.append(
-                    (
-                        flag_graph(
-                            steiner, H, rule,
-                            design_label="steiner_22", group_label=label,
-                        ),
-                        (exp,),
-                    )
+                    (f"flag:design=steiner_22:group={group}:rule={rule}", (exp,))
                 )
-        m11 = mathieu("M11on12")
         rows.append(
-            (
-                pair_graph(
-                    m11, design_out(twelve), group_label="m11_12", design_label="h12"
-                ),
-                ("1.2(b)(iii.1)",),
-            )
+            ("pair:group=m11_12:design=h12:rule=design_out", ("1.2(b)(iii.1)",))
         )
         rows.append(
-            (
-                pair_graph(
-                    m11, design_in(twelve), group_label="m11_12", design_label="h12"
-                ),
-                ("1.2(b)(iii.2)",),
-            )
+            ("pair:group=m11_12:design=h12:rule=design_in", ("1.2(b)(iii.2)",))
         )
         for rule, exp in (
-            (SAME_BLOCK, "1.1(c)(iii)"),
-            (DISJOINT_BLOCKS, "1.1(d)"),
-            (COMMON_TWO_POINTS, "1.2(c)(i)"),
-            (OPPOSITE_NON_COMPLEMENT, "1.2(c)(ii)"),
+            ("same_block", "1.1(c)(iii)"),
+            ("disjoint_blocks", "1.1(d)"),
+            ("common_two_points", "1.2(c)(i)"),
+            ("opposite_non_complement", "1.2(c)(ii)"),
         ):
             rows.append(
-                (
-                    flag_graph(
-                        twelve, m11, rule,
-                        design_label="hadamard_12", group_label="m11_12",
-                    ),
-                    (exp,),
-                )
+                (f"flag:design=hadamard_12:group=m11_12:rule={rule}", (exp,))
             )
     return rows
 
@@ -855,8 +764,8 @@ def census(max_q: int, max_d: int) -> list[CensusRow]:
             "fit the resource budget"
         )
     out = [
-        CensusRow(T.provenance.tag, expected, classify_triple(T))
-        for T, expected in _census_instances(max_q, max_d)
+        CensusRow(tag, expected, classify_triple(build_triple(parse_tag(tag))))
+        for tag, expected in _census_instances(max_q, max_d)
     ]
     escaped = [
         row.tag

@@ -9,8 +9,10 @@ checklist.
 Construction tags are colon-joined ``key=value`` fields behind a kind
 word, for example ``cr:q=5:d=4:s=1`` or
 ``pair:group=m22:design=s22:rule=design_out``; ``star:`` wraps any
-other tag.  Parsing normalizes field order, so feeding a reported tag
-back in reproduces the same request byte for byte.
+other tag.  ``symquot.constructions`` parses and builds them; this
+module handles arguments and output only.  Parsing normalizes field
+order, so feeding a reported tag back in reproduces the same request
+byte for byte.
 
 Exit status: 0 success, 1 domain error (a tag that parses but names an
 impossible object), 2 usage error, 3 selftest failure.  Diagnostics go
@@ -22,9 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
-from typing import IO, Callable, NamedTuple, Optional
+from typing import IO, Optional
 
 from .classify import (
     HYPOTHESIS_NAMES,
@@ -32,29 +33,8 @@ from .classify import (
     classify_triple,
     compute_params,
 )
-from .constructions import (
-    AFFINE_NON_PLANE,
-    AFFINE_PLANE,
-    ALL_DISTINCT,
-    COMMON_TWO_POINTS,
-    DISJOINT_BLOCKS,
-    M22_DISJOINT,
-    M22_MEET_TWO,
-    OPPOSITE_NON_COMPLEMENT,
-    SAME_BLOCK,
-    SAME_SECOND,
-    Triple,
-    cross_ratio_graph,
-    design_in,
-    design_out,
-    flag_graph,
-    matching_graph,
-    pair_graph,
-    star_transform,
-    twisted_cross_ratio_graph,
-)
-from .designs import ag_design, design_3_12_6_2, steiner_3_22_6
-from .errors import CatalogError, ConstructionError, DesignError, SymquotError
+from .constructions import Provenance, TagError, build_triple, parse_tag
+from .errors import SymquotError
 from .graphs import (
     graph_to_dimacs,
     graph_to_graph6,
@@ -62,220 +42,8 @@ from .graphs import (
     quotient_graph,
     recognize_structure,
 )
-from .groups_catalog import (
-    _MATHIEU_EXPECT,
-    agl,
-    m_group,
-    mathieu,
-    pgammal_subgroup,
-    pgl2,
-    psl2,
-    sym_alt,
-    z24_a7,
-)
-from .permgroup import DEGREE_CAP, PermutationGroup
 
 SCHEMA = "symquot/1"
-
-_TAG_FIELDS = {
-    "cr": ("q", "d", "s"),
-    "tcr": ("q", "d", "s"),
-    "pair": ("group", "design", "rule"),
-    "flag": ("design", "group", "rule"),
-    "match": ("group",),
-}
-_TAG_REQUIRED = {
-    "cr": ("q", "d", "s"),
-    "tcr": ("q", "d", "s"),
-    "pair": ("group", "rule"),
-    "flag": ("design", "group", "rule"),
-    "match": ("group",),
-}
-_INT_KEYS = ("q", "d", "s")
-
-_PAIR_RULES = {
-    "same_second": SAME_SECOND,
-    "all_distinct": ALL_DISTINCT,
-    "affine_plane": AFFINE_PLANE,
-    "affine_non_plane": AFFINE_NON_PLANE,
-}
-_DESIGN_PAIR_RULES = ("design_in", "design_out")
-_FLAG_RULES = {
-    "same_block": SAME_BLOCK,
-    "disjoint_blocks": DISJOINT_BLOCKS,
-    "common_two_points": COMMON_TWO_POINTS,
-    "opposite_non_complement": OPPOSITE_NON_COMPLEMENT,
-    "m22_disjoint": M22_DISJOINT,
-    "m22_meet_two": M22_MEET_TWO,
-}
-_MATHIEU_TAGS = {
-    "m11": "M11on11",
-    "m11_12": "M11on12",
-    "m12": "M12",
-    "m22": "M22",
-    "aut_m22": "AutM22",
-    "m23": "M23",
-    "m24": "M24",
-}
-
-
-class TagError(Exception):
-    """A construction tag that does not fit the grammar."""
-
-
-class Request(NamedTuple):
-    """Parsed construction tag with fields in canonical order."""
-
-    kind: str
-    fields: tuple[tuple[str, str], ...] = ()
-    inner: Optional["Request"] = None
-
-    @property
-    def tag(self) -> str:
-        if self.kind == "star":
-            assert self.inner is not None
-            return "star:" + self.inner.tag
-        return ":".join([self.kind] + [f"{k}={v}" for k, v in self.fields])
-
-
-def parse_tag(text: str) -> Request:
-    """Parse a tag, raising TagError with the failing offset."""
-    if not text:
-        raise TagError("empty construction tag")
-    head, sep, rest = text.partition(":")
-    if head == "star":
-        if not rest:
-            raise TagError("star needs an inner tag after 'star:'")
-        return Request("star", (), parse_tag(rest))
-    if head not in _TAG_FIELDS:
-        raise TagError(f"unknown construction kind {head!r} at offset 0")
-    allowed = _TAG_FIELDS[head]
-    got: dict[str, str] = {}
-    pos = len(head) + len(sep)
-    for part in rest.split(":") if rest else []:
-        key, eq, val = part.partition("=")
-        if not eq or not key or not val:
-            raise TagError(f"expected key=value at offset {pos}, got {part!r}")
-        if key not in allowed:
-            raise TagError(f"key {key!r} does not belong to {head} (offset {pos})")
-        if key in got:
-            raise TagError(f"duplicate key {key!r} at offset {pos}")
-        if key in _INT_KEYS:
-            try:
-                val = str(int(val))
-            except ValueError:
-                raise TagError(
-                    f"key {key!r} wants an integer, got {val!r} (offset {pos})"
-                ) from None
-        got[key] = val
-        pos += len(part) + 1
-    missing = [k for k in _TAG_REQUIRED[head] if k not in got]
-    if missing:
-        raise TagError(f"{head} tag is missing {', '.join(missing)}")
-    return Request(head, tuple((k, got[k]) for k in allowed if k in got))
-
-
-# Group tags with integer parameters: (pattern, degree, builder).  The
-# degree is read off the tag alone, so an oversize request is refused
-# before any group is built; None leaves the refusal to the builder (the
-# catalog has binary affine groups up to 64 points only).  Builders look
-# the catalog functions up when called, not when this table is built.
-_NUMBERED_GROUPS = (
-    (r"s(\d+)", lambda n: n, lambda n: sym_alt(n, False)),
-    (r"a(\d+)", lambda n: n, lambda n: sym_alt(n, True)),
-    (r"agl_d(\d+)", lambda d: 2 ** d if d <= 6 else None, lambda d: agl(d, 2)),
-    (r"pgl2_q(\d+)", lambda q: q + 1, lambda q: pgl2(q)),
-    (r"psl2_q(\d+)", lambda q: q + 1, lambda q: psl2(q)),
-    (r"pgammal_q(\d+)_s(\d+)", lambda q, s: q + 1, lambda q, s: pgammal_subgroup(q, s)),
-    (r"m_s(\d+)_q(\d+)", lambda s, q: q + 1, lambda s, q: m_group(s, q)),
-)
-
-
-def _group_spec(token: str) -> tuple[Optional[int], Callable[[], PermutationGroup]]:
-    """The degree a group tag names, and a builder for the group."""
-    if token in _MATHIEU_TAGS:
-        name = _MATHIEU_TAGS[token]
-        return _MATHIEU_EXPECT[name][0], lambda: mathieu(name)
-    if token == "z24_a7":
-        return 16, z24_a7
-    for pattern, degree, build in _NUMBERED_GROUPS:
-        m = re.fullmatch(pattern, token)
-        if m:
-            try:
-                args = [int(x) for x in m.groups()]
-            except ValueError:  # past the interpreter's digit limit
-                raise CatalogError(f"group tag {token!r} has too many digits") from None
-            return degree(*args), lambda: build(*args)
-    raise CatalogError(f"unknown group tag {token!r}")
-
-
-def _resolve_group(token: str) -> PermutationGroup:
-    return _group_spec(token)[1]()
-
-
-def _resolve_pair_group(token: str) -> PermutationGroup:
-    """The group of a pair or match tag, refused before it is built when
-    its ordered pairs would exceed DEGREE_CAP."""
-    m, build = _group_spec(token)
-    if m is not None and m * (m - 1) > DEGREE_CAP:
-        raise ConstructionError(
-            f"group {token} moves {m} points: {m * (m - 1)} ordered pairs "
-            f"exceed the degree cap {DEGREE_CAP}"
-        )
-    return build()
-
-
-def _resolve_design(token: str):
-    if token in ("s22", "steiner_22"):
-        return steiner_3_22_6()
-    if token in ("h12", "hadamard_12"):
-        return design_3_12_6_2()
-    m = re.fullmatch(r"ag_d(\d+)", token)
-    if m:
-        d = int(m.group(1))
-        return ag_design(d, d - 1)
-    raise DesignError(f"unknown design tag {token!r}")
-
-
-def build_triple(req: Request) -> Triple:
-    """Construct the triple a parsed request names."""
-    if req.kind == "star":
-        assert req.inner is not None
-        return star_transform(build_triple(req.inner))
-    f = dict(req.fields)
-    if req.kind in ("cr", "tcr"):
-        build = cross_ratio_graph if req.kind == "cr" else twisted_cross_ratio_graph
-        return build(int(f["q"]), int(f["d"]), int(f["s"]))
-    if req.kind == "match":
-        return matching_graph(_resolve_pair_group(f["group"]), group_label=f["group"])
-    if req.kind == "pair":
-        group = _resolve_pair_group(f["group"])
-        name = f["rule"]
-        if name in _DESIGN_PAIR_RULES:
-            if "design" not in f:
-                raise ConstructionError(f"pair rule {name} needs design=")
-            design = _resolve_design(f["design"])
-            rule = design_in(design) if name == "design_in" else design_out(design)
-        elif name in _PAIR_RULES:
-            if "design" in f:
-                raise ConstructionError(f"pair rule {name} takes no design")
-            rule = _PAIR_RULES[name]
-        else:
-            raise ConstructionError(f"unknown pair rule {name!r}")
-        return pair_graph(
-            group, rule, group_label=f["group"], design_label=f.get("design")
-        )
-    assert req.kind == "flag"
-    rule = _FLAG_RULES.get(f["rule"])
-    if rule is None:
-        raise ConstructionError(f"unknown flag rule {f['rule']!r}")
-    return flag_graph(
-        _resolve_design(f["design"]),
-        _resolve_group(f["group"]),
-        rule,
-        design_label=f["design"],
-        group_label=f["group"],
-    )
 
 
 def _emit_json(doc: dict, out: IO[str]) -> None:
@@ -288,13 +56,13 @@ def _emit_table(rows: list[tuple[str, str]], out: IO[str]) -> None:
         out.write(f"{key:<{width}}  {value}\n")
 
 
-def _cmd_construct(req: Request, as_json: bool, out: IO[str]) -> int:
-    T = build_triple(req)
+def _cmd_construct(tag: Provenance, as_json: bool, out: IO[str]) -> int:
+    T = build_triple(tag)
     g = T.graph
     quot = quotient_graph(g, T.partition)
     doc = {
         "schema": SCHEMA,
-        "tag": req.tag,
+        "tag": tag.tag,
         "provenance": T.provenance.tag,
         "vertices": g.n,
         "edges": g.edge_count,
@@ -315,26 +83,26 @@ def _cmd_construct(req: Request, as_json: bool, out: IO[str]) -> int:
 _PARAM_ORDER = ("v", "b", "s", "t", "m", "r", "k", "lambda", "rho")
 
 
-def _cmd_params(req: Request, as_json: bool, out: IO[str]) -> int:
-    P = compute_params(build_triple(req))
+def _cmd_params(tag: Provenance, as_json: bool, out: IO[str]) -> int:
+    P = compute_params(build_triple(tag))
     if as_json:
-        _emit_json({"schema": SCHEMA, "tag": req.tag, "params": P.as_json()}, out)
+        _emit_json({"schema": SCHEMA, "tag": tag.tag, "params": P.as_json()}, out)
     else:
         vals = P.as_json()
-        rows = [("tag", req.tag)]
+        rows = [("tag", tag.tag)]
         rows += [(k, "-" if vals[k] is None else str(vals[k])) for k in _PARAM_ORDER]
         _emit_table(rows, out)
     return 0
 
 
-def _cmd_classify(req: Request, as_json: bool, out: IO[str]) -> int:
-    verdict = classify_triple(build_triple(req))
-    doc = {"schema": SCHEMA, "tag": req.tag}
+def _cmd_classify(tag: Provenance, as_json: bool, out: IO[str]) -> int:
+    verdict = classify_triple(build_triple(tag))
+    doc = {"schema": SCHEMA, "tag": tag.tag}
     doc.update(verdict.as_json())
     if as_json:
         _emit_json(doc, out)
         return 0
-    rows = [("tag", req.tag)]
+    rows = [("tag", tag.tag)]
     for name in HYPOTHESIS_NAMES:
         rows.append((name, "pass" if verdict.hypotheses[name] else "fail"))
     if verdict.params is None:
@@ -390,8 +158,8 @@ def _cmd_census(max_q: int, max_d: int, as_json: bool, out: IO[str]) -> int:
     return 0
 
 
-def _cmd_export(req: Request, fmt: str, path: Optional[str], out: IO[str]) -> int:
-    T = build_triple(req)
+def _cmd_export(tag: Provenance, fmt: str, path: Optional[str], out: IO[str]) -> int:
+    T = build_triple(tag)
     if fmt == "graph6":
         text = graph_to_graph6(T.graph) + "\n"
     elif fmt == "dimacs":
@@ -399,7 +167,7 @@ def _cmd_export(req: Request, fmt: str, path: Optional[str], out: IO[str]) -> in
     else:
         doc = {
             "schema": SCHEMA,
-            "tag": req.tag,
+            "tag": tag.tag,
             "graph": graph_to_json(T.graph),
             "blocks": [list(block) for block in T.partition.blocks],
             "generators": [list(p.images) for p in T.group.generators],
@@ -468,14 +236,14 @@ def run(
             return _cmd_selftest(out, err)
         if args.verb == "census":
             return _cmd_census(args.max_q, args.max_d, args.json, out)
-        req = parse_tag(args.tag)
+        tag = parse_tag(args.tag)
         if args.verb == "construct":
-            return _cmd_construct(req, args.json, out)
+            return _cmd_construct(tag, args.json, out)
         if args.verb == "params":
-            return _cmd_params(req, args.json, out)
+            return _cmd_params(tag, args.json, out)
         if args.verb == "classify":
-            return _cmd_classify(req, args.json, out)
-        return _cmd_export(req, args.format, args.output, out)
+            return _cmd_classify(tag, args.json, out)
+        return _cmd_export(tag, args.format, args.output, out)
     except TagError as exc:
         err.write(f"symquot: {exc}\n")
         return 2

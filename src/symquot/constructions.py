@@ -7,14 +7,28 @@ lexicographic numbering of graphs.pair_index; flag families use the
 point-major flag order of designs.flags.  Builders verify the parameters
 they advertise (cross valency t and cross support k) on a sample block pair
 before returning.
+
+Constructions are named by tags such as ``cr:q=5:d=4:s=1``: a kind word,
+then ``key=value`` fields, with ``star:`` wrapping any other tag.  This
+module holds the one registry of that grammar: ``parse_tag`` reads a tag
+into a ``Provenance``, and ``build_triple`` builds the triple it names,
+refusing a tag whose vertex count exceeds the degree cap before anything
+is built.  Every built triple carries its ``Provenance``, whose ``tag``
+parses back to the same triple.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import re
+from typing import Callable, NamedTuple, Optional
 
-from .designs import IncidenceStructure
-from .errors import ConstructionError
+from .designs import (
+    IncidenceStructure,
+    ag_design,
+    design_3_12_6_2,
+    steiner_3_22_6,
+)
+from .errors import CatalogError, ConstructionError, DesignError
 from .ffield import FieldElement, FiniteField
 from .graphs import (
     Graph,
@@ -24,12 +38,28 @@ from .graphs import (
     pair_index,
     quotient_graph,
 )
-from .groups_catalog import _field_for, m_group, pgammal_subgroup
-from .permgroup import LiftedGroup, Permutation, PermutationGroup
+from .groups_catalog import (
+    GroupTag,
+    _field_for,
+    agl,
+    m_group,
+    mathieu,
+    pgammal_subgroup,
+    pgl2,
+    psl2,
+    sym_alt,
+    z24_a7,
+)
+from .permgroup import DEGREE_CAP, LiftedGroup, Permutation, PermutationGroup
+
+
+class TagError(Exception):
+    """A construction tag that does not fit the grammar."""
 
 
 class Provenance(NamedTuple):
-    """Construction identity: kind, ordered parameters, nested source."""
+    """A construction tag: kind, fields in canonical order, and for
+    ``star`` the tag it wraps."""
 
     kind: str
     params: tuple[tuple[str, str], ...] = ()
@@ -261,7 +291,7 @@ def pair_graph(
     elif rule.tag in ("design_in", "design_out"):
         D = rule.design
         if D is None:
-            raise ConstructionError(f"{rule.tag} needs an attached design")
+            raise ConstructionError(f"pair rule {rule.tag} needs a design")
         if D.v != m:
             raise ConstructionError(
                 f"design has {D.v} points but the group moves {m}"
@@ -273,7 +303,7 @@ def pair_graph(
     elif rule.tag not in ("same_second", "all_distinct"):
         raise ConstructionError(f"unknown pair rule {rule.tag!r}")
     elif rule.design is not None:
-        raise ConstructionError(f"{rule.tag} takes no design")
+        raise ConstructionError(f"pair rule {rule.tag} takes no design")
 
     def adjacent(i: int, j: int, i2: int, j2: int) -> bool:
         if rule.tag == "same_second":
@@ -516,3 +546,178 @@ def matching_graph(
         params.append(("group", group_label))
     prov = Provenance("match", tuple(params))
     return Triple(graph, pair_action(G), pair_partition(m), prov)
+
+
+# ---------------------------------------------------------------------------
+# The tag registry.
+
+_TAG_FIELDS = {
+    "cr": ("q", "d", "s"),
+    "tcr": ("q", "d", "s"),
+    "pair": ("group", "design", "rule"),
+    "flag": ("design", "group", "rule"),
+    "match": ("group",),
+}
+_TAG_REQUIRED = {
+    "cr": ("q", "d", "s"),
+    "tcr": ("q", "d", "s"),
+    "pair": ("group", "rule"),
+    "flag": ("design", "group", "rule"),
+    "match": ("group",),
+}
+_INT_KEYS = ("q", "d", "s")
+
+
+def parse_tag(text: str) -> Provenance:
+    """Parse a tag into canonical field order with integers normalized,
+    raising TagError with the failing offset."""
+    if not text:
+        raise TagError("empty construction tag")
+    head, sep, rest = text.partition(":")
+    if head == "star":
+        if not rest:
+            raise TagError("star needs an inner tag after 'star:'")
+        return Provenance("star", (), parse_tag(rest))
+    if head not in _TAG_FIELDS:
+        raise TagError(f"unknown construction kind {head!r} at offset 0")
+    allowed = _TAG_FIELDS[head]
+    got: dict[str, str] = {}
+    pos = len(head) + len(sep)
+    for part in rest.split(":") if rest else []:
+        key, eq, val = part.partition("=")
+        if not eq or not key or not val:
+            raise TagError(f"expected key=value at offset {pos}, got {part!r}")
+        if key not in allowed:
+            raise TagError(f"key {key!r} does not belong to {head} (offset {pos})")
+        if key in got:
+            raise TagError(f"duplicate key {key!r} at offset {pos}")
+        if key in _INT_KEYS:
+            try:
+                val = str(int(val))
+            except ValueError:
+                raise TagError(
+                    f"key {key!r} wants an integer, got {val!r} (offset {pos})"
+                ) from None
+        got[key] = val
+        pos += len(part) + 1
+    missing = [k for k in _TAG_REQUIRED[head] if k not in got]
+    if missing:
+        raise TagError(f"{head} tag is missing {', '.join(missing)}")
+    return Provenance(head, tuple((k, got[k]) for k in allowed if k in got))
+
+
+# Group tags: (pattern, degree, builder).  The degree is read off the tag
+# alone, so an oversize request is refused before any group is built;
+# None leaves the refusal to the builder (the catalog has binary affine
+# groups up to 64 points only).  Builders look the catalog functions up
+# when called, not when this table is built, and the catalog caches what
+# they build.
+_GROUPS = (
+    (r"s(\d+)", lambda n: n, lambda n: sym_alt(n, False)),
+    (r"a(\d+)", lambda n: n, lambda n: sym_alt(n, True)),
+    (r"agl_d(\d+)", lambda d: 2 ** d if d <= 6 else None, lambda d: agl(d, 2)),
+    (r"pgl2_q(\d+)", lambda q: q + 1, lambda q: pgl2(q)),
+    (r"psl2_q(\d+)", lambda q: q + 1, lambda q: psl2(q)),
+    (r"pgammal_q(\d+)_s(\d+)", lambda q, s: q + 1, lambda q, s: pgammal_subgroup(q, s)),
+    (r"m_s(\d+)_q(\d+)", lambda s, q: q + 1, lambda s, q: m_group(s, q)),
+    ("z24_a7", lambda: 16, lambda: z24_a7()),
+    ("m11", lambda: 11, lambda: mathieu("M11on11")),
+    ("m11_12", lambda: 12, lambda: mathieu("M11on12")),
+    ("m12", lambda: 12, lambda: mathieu("M12")),
+    ("m22", lambda: 22, lambda: mathieu("M22")),
+    ("aut_m22", lambda: 22, lambda: mathieu("AutM22")),
+    ("m23", lambda: 23, lambda: mathieu("M23")),
+    ("m24", lambda: 24, lambda: mathieu("M24")),
+)
+
+# Design tags: (pattern, flag count, builder), read like the group table.
+# ag_d<d> is the binary affine space of dimension d with its hyperplanes
+# as blocks: 2(2^d - 1) blocks of 2^(d-1) points.
+_DESIGNS = (
+    (r"s22|steiner_22", lambda: 77 * 6, lambda: steiner_3_22_6()),
+    (r"h12|hadamard_12", lambda: 22 * 6, lambda: design_3_12_6_2()),
+    (
+        r"ag_d(\d+)",
+        lambda d: 2 ** d * (2 ** d - 1) if d <= 6 else None,
+        lambda d: ag_design(d, d - 1),
+    ),
+)
+
+
+def _token_spec(
+    table: tuple, token: str, what: str, error: type
+) -> tuple[Optional[int], Callable]:
+    for pattern, count, build in table:
+        m = re.fullmatch(pattern, token)
+        if m:
+            try:
+                args = [int(x) for x in m.groups()]
+            except ValueError:  # past the interpreter's digit limit
+                raise error(f"{what} tag {token!r} has too many digits") from None
+            return count(*args), lambda: build(*args)
+    raise error(f"unknown {what} tag {token!r}")
+
+
+def _group_spec(token: str) -> tuple[Optional[int], Callable[[], PermutationGroup]]:
+    """The degree a group tag names, and a builder for the group."""
+    return _token_spec(_GROUPS, token, "group", CatalogError)
+
+
+def _design_spec(token: str) -> tuple[Optional[int], Callable[[], IncidenceStructure]]:
+    """The flag count a design tag names, and a builder for the design."""
+    return _token_spec(_DESIGNS, token, "design", DesignError)
+
+
+def group_token(gtag: GroupTag) -> str:
+    """The group tag of a catalog GroupTag, e.g. ``pgammal_q8_s1``."""
+    return "_".join([gtag.name] + [f"{key}{val}" for key, val in gtag.params])
+
+
+def _vertex_count(tag: Provenance) -> Optional[int]:
+    """The vertex count a tag names, read off the tag without building
+    anything; None when the catalog refuses the tag's token itself."""
+    if tag.kind == "star":
+        assert tag.inner is not None
+        return _vertex_count(tag.inner)
+    f = dict(tag.params)
+    if tag.kind in ("cr", "tcr"):
+        q = int(f["q"])
+        return q * (q + 1)
+    if tag.kind == "flag":
+        return _design_spec(f["design"])[0]
+    m = _group_spec(f["group"])[0]
+    return None if m is None else m * (m - 1)
+
+
+def build_triple(tag: Provenance) -> Triple:
+    """Build the triple a parsed tag names.  A tag naming more than
+    DEGREE_CAP vertices is refused before any group or field is built."""
+    n = _vertex_count(tag)
+    if n is not None and n > DEGREE_CAP:
+        raise ConstructionError(
+            f"{tag.tag} has {n} vertices, over the degree cap {DEGREE_CAP}"
+        )
+    f = dict(tag.params)
+    if tag.kind == "star":
+        assert tag.inner is not None
+        return star_transform(build_triple(tag.inner))
+    if tag.kind in ("cr", "tcr"):
+        build = cross_ratio_graph if tag.kind == "cr" else twisted_cross_ratio_graph
+        return build(int(f["q"]), int(f["d"]), int(f["s"]))
+    if tag.kind == "flag":
+        design = _design_spec(f["design"])[1]()
+        group = _group_spec(f["group"])[1]()
+        return flag_graph(
+            design, group, FlagRule(f["rule"]),
+            design_label=f["design"], group_label=f["group"],
+        )
+    group = _group_spec(f["group"])[1]()
+    if tag.kind == "match":
+        return matching_graph(group, group_label=f["group"])
+    design = _design_spec(f["design"])[1]() if "design" in f else None
+    return pair_graph(
+        group,
+        PairRule(f["rule"], design),
+        group_label=f["group"],
+        design_label=f.get("design"),
+    )

@@ -5,13 +5,15 @@ meaningful (the repetition multiplicity rho is a classification parameter).
 The named constructors (affine geometries, the Steiner triple extension of
 PG(2,4), the Hadamard 3-design on 12 points) validate themselves by counting:
 a constructor that cannot prove its own parameters raises instead of
-returning a wrong object.
+returning a wrong object.  Like the group catalog, they cache what they
+build, so callers share one object per design.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import DesignError
@@ -234,30 +236,6 @@ def _subsets(items: tuple[int, ...], t: int):
             idx[later] = idx[later - 1] + 1
 
 
-def design_params(D: IncidenceStructure) -> DesignParams:
-    return D.params()
-
-
-def derived_design(D: IncidenceStructure, point: int) -> IncidenceStructure:
-    return D.derived(point)
-
-
-def dual_design(D: IncidenceStructure) -> IncidenceStructure:
-    return D.dual()
-
-
-def complement_design(D: IncidenceStructure) -> IncidenceStructure:
-    return D.complement()
-
-
-def flags(D: IncidenceStructure) -> list[Flag]:
-    return D.flags()
-
-
-def preserves_design(D: IncidenceStructure, g: Permutation) -> bool:
-    return D.preserves(g)
-
-
 def design_from_partition(graph, partition, block_index: int) -> IncidenceStructure:
     """The structure induced on one block: its points are the block's
     vertices, and each neighbouring block contributes the set of vertices
@@ -281,6 +259,7 @@ def design_from_partition(graph, partition, block_index: int) -> IncidenceStruct
     return IncidenceStructure(len(home), structure_blocks)
 
 
+@lru_cache(maxsize=None)
 def ag_design(d: int, e: int) -> IncidenceStructure:
     """Points and e-dimensional affine subspaces of the binary affine space
     of dimension d.  Vectors are encoded as integers with bit i = coordinate i."""
@@ -353,6 +332,7 @@ def _pg2_4_normalize(vec):
     raise DesignError("zero vector has no projective point")
 
 
+@lru_cache(maxsize=None)
 def steiner_3_22_6() -> IncidenceStructure:
     """The 3-design on 22 points with blocks of size 6 and every triple in
     exactly one block: the 21 lines of the projective plane of order 4, each
@@ -432,6 +412,7 @@ def _psl3_4_point_perms(F, pts, pt_index):
     return perms
 
 
+@lru_cache(maxsize=None)
 def design_3_12_6_2() -> IncidenceStructure:
     """The Hadamard 3-design on 12 points with every triple in 2 blocks,
     from quadratic residues modulo 11.  Point 0 is the extra point; point

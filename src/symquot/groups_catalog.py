@@ -82,10 +82,6 @@ class MoebiusTransformation:
         return f"Moebius[{core}]"
 
 
-def moebius_apply(t: MoebiusTransformation, z: ProjPoint) -> ProjPoint:
-    return t.apply(z)
-
-
 def _field_for(q: int) -> FiniteField:
     if q < 2:
         raise CatalogError(f"not a prime power: {q}")

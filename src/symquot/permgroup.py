@@ -2,7 +2,7 @@
 
 Everything is exact and deterministic: no randomized sifting, no hash-order
 dependence.  Base points are chosen as least moved points (or prescribed by
-the caller for stabilizer and transporter computations), so identical input
+the caller for stabilizer computations), so identical input
 always produces the identical chain.
 
 Internally a chain element is a pair (main, aux) of image tuples.  The aux
@@ -521,35 +521,6 @@ class PermutationGroup:
                     queue.append(nxt)
         return False
 
-    def transporter(
-        self, src: Sequence[int], dst: Sequence[int]
-    ) -> Permutation | None:
-        """Some g with src[i]^g = dst[i] for all i, or None if there is none."""
-        src, dst = tuple(src), tuple(dst)
-        if len(src) != len(dst) or len(set(src)) != len(src):
-            raise GroupError("transporter arguments must be equal-length, distinct")
-        ch = _Chain(self.degree, [(im, ()) for im in self._gen_images], base_prefix=src)
-
-        # Level i fixes src[:i]; pick a coset rep sending src[i] to the
-        # current target, then pull the deeper targets back through it.
-        def rec(i: int, targets: list[int]) -> tuple[int, ...] | None:
-            if i == len(src):
-                return tuple(range(self.degree))
-            rep = ch.levels[i].transversal.get(targets[0])
-            if rep is None:
-                return None
-            inv = _inv(rep[0])
-            sub = rec(i + 1, [inv[t] for t in targets[1:]])
-            if sub is None:
-                return None
-            return _mul(sub, rep[0])
-
-        images = rec(0, list(dst))
-        if images is None:
-            return None
-        assert all(images[s] == d for s, d in zip(src, dst))
-        return Permutation(images)
-
     def elements(self) -> Iterator[Permutation]:
         """All group elements (deterministic order); intended for small groups."""
         levels = self.chain.levels
@@ -609,11 +580,3 @@ class LiftedGroup(PermutationGroup):
             return P, True
         return PermutationGroup(P.degree, [Permutation(t) for t in distinct]), True
 
-
-def group_from_generators(gens: Sequence[Permutation], degree: int | None = None) -> PermutationGroup:
-    """Build a group; degree is taken from the generators unless given."""
-    if degree is None:
-        if not gens:
-            raise GroupError("degree required for an empty generating set")
-        degree = gens[0].degree
-    return PermutationGroup(degree, list(gens))

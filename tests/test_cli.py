@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from symquot.cli import SCHEMA, Request, TagError, build_triple, parse_tag, run
+from symquot.cli import SCHEMA, TagError, build_triple, parse_tag, run
+from symquot.constructions import Provenance
 
 
 def invoke(*argv):
@@ -70,7 +71,7 @@ class TestTagGrammar:
     def test_star_nests_requests(self):
         req = parse_tag("star:cr:q=5:d=4:s=1")
         assert req.kind == "star"
-        assert req.inner == Request("cr", (("q", "5"), ("d", "4"), ("s", "1")))
+        assert req.inner == Provenance("cr", (("q", "5"), ("d", "4"), ("s", "1")))
 
 
 class TestBuild:
@@ -96,13 +97,18 @@ class TestBuild:
         assert T.graph.n == 132
 
     def test_census_tags_rebuild(self):
+        # every tag of the census at its maximum caps is canonical, and the
+        # triple built from it reports the same tag as its provenance
         from symquot.classify import _census_instances
-        from symquot.graphs import graph_to_graph6
 
-        for T, _ in _census_instances(9, 3):
-            again = build_triple(parse_tag(T.provenance.tag))
-            assert again.provenance.tag == T.provenance.tag
-            assert graph_to_graph6(again.graph) == graph_to_graph6(T.graph)
+        tags = [tag for tag, _ in _census_instances(16, 4)]
+        assert len(set(tags)) == len(tags) == 257
+        for tag in tags:
+            assert parse_tag(tag).tag == tag
+            code, out, err = invoke("construct", tag, "--json")
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert doc["tag"] == doc["provenance"] == tag
 
 
 class TestClassifyVerb:
@@ -274,20 +280,56 @@ class TestExitCodes:
         assert err.startswith("symquot: ") and err.count("\n") == 1
         assert "degree cap" in err
 
+    # one tag per remaining kind: refused on the vertex count the tag
+    # names, or on a design the catalog does not have, before any group
+    # or field is built
+    REFUSED_UNBUILT = [
+        "cr:q=1009:d=2:s=1",
+        "tcr:q=2401:d=3:s=2",
+        "flag:design=ag_d7:group=s9999:rule=same_block",
+        "star:cr:q=1009:d=2:s=1",
+    ]
+
+    @pytest.mark.parametrize("tag", REFUSED_UNBUILT)
+    def test_refused_before_building(self, tag):
+        t0 = time.perf_counter()
+        code, out, err = invoke("construct", tag)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and out == ""
+        assert err.startswith("symquot: ") and err.count("\n") == 1
+
     GROUP_TOKENS = [
-        "s5", "a7", "agl_d3", "m11", "m11_12", "m22", "z24_a7",
-        "pgl2_q7", "psl2_q11", "pgammal_q8_s1", "m_s1_q9",
+        "s5", "a7", "agl_d3", "m11", "m11_12", "m12", "m22", "aut_m22",
+        "m23", "m24", "z24_a7", "pgl2_q7", "psl2_q11", "pgammal_q8_s1",
+        "m_s1_q9",
     ]
 
     @pytest.mark.parametrize("token", GROUP_TOKENS)
     def test_predicted_degree_matches_group(self, token):
-        from symquot.cli import _group_spec
+        from symquot.constructions import _group_spec
 
         degree, build = _group_spec(token)
         assert degree == build().degree
 
+    DESIGN_TOKENS = [
+        "s22", "steiner_22", "h12", "hadamard_12", "ag_d3", "ag_d4", "ag_d5", "ag_d6",
+    ]
+
+    @pytest.mark.parametrize("token", DESIGN_TOKENS)
+    def test_predicted_flag_count_matches_design(self, token):
+        from symquot.constructions import _design_spec
+
+        flags, build = _design_spec(token)
+        assert flags == len(build().flags())
+
     def test_overlong_group_number_is_a_domain_error(self):
         code, out, err = invoke("construct", "match:group=s" + "9" * 5000)
+        assert code == 1 and out == ""
+        assert err.startswith("symquot: ") and "too many digits" in err
+
+    def test_overlong_design_number_is_a_domain_error(self):
+        tag = "flag:design=ag_d" + "9" * 5000 + ":group=agl_d3:rule=same_block"
+        code, out, err = invoke("construct", tag)
         assert code == 1 and out == ""
         assert err.startswith("symquot: ") and "too many digits" in err
 

@@ -9,14 +9,8 @@ from symquot.designs import (
     Flag,
     IncidenceStructure,
     ag_design,
-    complement_design,
-    derived_design,
     design_3_12_6_2,
     design_from_partition,
-    design_params,
-    dual_design,
-    flags,
-    preserves_design,
     steiner_3_22_6,
 )
 from symquot.errors import DesignError
@@ -103,7 +97,7 @@ class TestConstruction:
 
 class TestDerived:
     def test_fano_point(self):
-        sub = derived_design(FANO, 0)
+        sub = FANO.derived(0)
         p = sub.params()
         assert (p.v, p.b, p.k, p.r) == (6, 3, 2, 1)
 
@@ -124,46 +118,46 @@ class TestDerived:
 
 class TestDual:
     def test_fano_self_dual_parameters(self):
-        dd = dual_design(FANO)
+        dd = FANO.dual()
         p = dd.params()
         assert (p.v, p.b, p.r, p.k) == (7, 7, 3, 3)
         assert p.lambda_t(2) == 1
 
     def test_double_dual_is_identity(self):
-        assert dual_design(dual_design(FANO)) == FANO
+        assert FANO.dual().dual() == FANO
 
     def test_repeated_blocks_rejected(self):
         D = IncidenceStructure(3, [(0, 1), (0, 1)])
         with pytest.raises(DesignError):
-            dual_design(D)
+            D.dual()
 
     def test_uncovered_point_rejected(self):
         D = IncidenceStructure(3, [(0, 1)])
         with pytest.raises(DesignError):
-            dual_design(D)
+            D.dual()
 
 
 class TestComplement:
     def test_fano_complement(self):
-        p = complement_design(FANO).params()
+        p = FANO.complement().params()
         assert (p.v, p.b, p.k) == (7, 7, 4)
         assert p.lambda_t(2) == 2
 
     def test_involution(self):
-        assert complement_design(complement_design(FANO)) == FANO
+        assert FANO.complement().complement() == FANO
 
     def test_full_block_rejected(self):
         D = IncidenceStructure(3, [(0, 1, 2)])
         with pytest.raises(DesignError):
-            complement_design(D)
+            D.complement()
 
 
 class TestFlags:
     def test_count_is_point_degree_sum(self):
-        assert len(flags(FANO)) == 21
+        assert len(FANO.flags()) == 21
 
     def test_point_major_order(self):
-        fl = flags(IncidenceStructure(3, [(1, 2), (0, 1)]))
+        fl = IncidenceStructure(3, [(1, 2), (0, 1)]).flags()
         assert fl == [Flag(0, 1), Flag(1, 0), Flag(1, 1), Flag(2, 0)]
 
     def test_flag_identity(self):
@@ -175,11 +169,11 @@ class TestFlags:
 class TestPreserves:
     def test_cyclic_shift_fixes_fano(self):
         shift = Permutation([(i + 1) % 7 for i in range(7)])
-        assert preserves_design(FANO, shift)
+        assert FANO.preserves(shift)
 
     def test_transposition_breaks_fano(self):
         swap = Permutation([1, 0, 2, 3, 4, 5, 6])
-        assert not preserves_design(FANO, swap)
+        assert not FANO.preserves(swap)
 
     def test_degree_mismatch(self):
         with pytest.raises(DesignError):
@@ -285,10 +279,10 @@ class TestBundledDesigns:
 
     def test_twelve_point_complement_closed(self):
         D = design_3_12_6_2()
-        assert complement_design(D) == D
+        assert D.complement() == D
 
     def test_twelve_point_derived_is_biplane(self):
-        p = derived_design(design_3_12_6_2(), 0).params()
+        p = design_3_12_6_2().derived(0).params()
         assert (p.v, p.b, p.r, p.k) == (11, 11, 5, 5)
         assert p.lambda_t(2) == 2
 
@@ -313,7 +307,7 @@ def test_flag_count_matches_block_sizes(D):
 def test_complement_is_involution(D):
     if any(len(b) == D.v for b in D.blocks):
         return
-    assert complement_design(complement_design(D)) == D
+    assert D.complement().complement() == D
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,16 +316,16 @@ def test_double_dual_restores(D):
     covered = {x for b in D.blocks for x in b}
     if len(set(D.blocks)) != len(D.blocks) or covered != set(range(D.v)):
         return
-    dd = dual_design(D)
+    dd = D.dual()
     if len(set(dd.blocks)) != len(dd.blocks):
         return
-    assert dual_design(dd) == D
+    assert dd.dual() == D
 
 
 @settings(max_examples=60, deadline=None)
 @given(_structures())
 def test_replication_identity(D):
-    p = design_params(D)
+    p = D.params()
     if p.r is not None and p.k is not None:
         assert D.v * p.r == D.b * p.k
     if p.lambdas:

@@ -10,7 +10,6 @@ from symquot.groups_catalog import (
     agl,
     m_group,
     mathieu,
-    moebius_apply,
     pgammal_subgroup,
     pgl2,
     psl2,
@@ -63,7 +62,7 @@ class TestMoebius:
         one, zero = F.element(1), F.element(0)
         t = MoebiusTransformation(one, zero, zero, one, e=1)
         z = F.element(2)
-        assert moebius_apply(t, ProjPoint(z)) == ProjPoint(z.frobenius(1))
+        assert t.apply(ProjPoint(z)) == ProjPoint(z.frobenius(1))
 
     def test_permutation_degree(self):
         F = field(3, 2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symquot.errors import GroupError
-from symquot.permgroup import Permutation, PermutationGroup, group_from_generators
+from symquot.permgroup import Permutation, PermutationGroup
 
 P = Permutation.from_cycles
 
@@ -85,23 +85,23 @@ class TestChainOrders:
 
     def test_larger_symmetric_orders(self):
         for n in (6, 7, 8):
-            G = group_from_generators([P(n, [(0, 1)]), P(n, [tuple(range(n))])])
+            G = PermutationGroup(n, [P(n, [(0, 1)]), P(n, [tuple(range(n))])])
             assert G.order() == math.factorial(n)
 
     def test_elements_enumeration_is_exact(self):
-        G = group_from_generators([P(4, [(0, 1)]), P(4, [(0, 1, 2, 3)])])
+        G = PermutationGroup(4, [P(4, [(0, 1)]), P(4, [(0, 1, 2, 3)])])
         els = list(G.elements())
         assert len(els) == 24
         assert {e.images for e in els} == closure(G.generators)
 
     def test_elements_order_is_deterministic(self):
-        mk = lambda: group_from_generators([P(5, [(0, 1, 2, 3, 4)]), P(5, [(2, 3, 4)])])
+        mk = lambda: PermutationGroup(5, [P(5, [(0, 1, 2, 3, 4)]), P(5, [(2, 3, 4)])])
         a = [e.images for e in mk().elements()]
         b = [e.images for e in mk().elements()]
         assert a == b
 
     def test_membership(self):
-        A = group_from_generators([P(4, [(0, 1, 2)]), P(4, [(1, 2, 3)])])
+        A = PermutationGroup(4, [P(4, [(0, 1, 2)]), P(4, [(1, 2, 3)])])
         assert P(4, [(0, 1), (2, 3)]) in A
         assert P(4, [(0, 1)]) not in A
         assert Permutation.identity(3) not in A  # degree mismatch
@@ -113,34 +113,34 @@ class TestChainOrders:
 
 class TestOrbitsAndStabilizers:
     def test_orbit_partition(self):
-        G = group_from_generators([P(6, [(0, 1, 2)]), P(6, [(3, 4)])])
+        G = PermutationGroup(6, [P(6, [(0, 1, 2)]), P(6, [(3, 4)])])
         assert G.orbits() == [[0, 1, 2], [3, 4], [5]]
         assert not G.is_transitive()
 
     def test_orbit_stabilizer_theorem(self):
-        G = group_from_generators([P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])])
+        G = PermutationGroup(4, [P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])])
         for x in range(4):
             assert len(G.orbit(x)) * G.stabilizer([x]).order() == G.order()
 
     def test_stabilizer_fixes_points(self):
-        G = group_from_generators([P(5, [(0, 1)], ), P(5, [(0, 1, 2, 3, 4)])])
+        G = PermutationGroup(5, [P(5, [(0, 1)], ), P(5, [(0, 1, 2, 3, 4)])])
         H = G.stabilizer([1, 3])
         assert H.order() == 6
         for e in H.elements():
             assert e(1) == 1 and e(3) == 3
 
     def test_pointwise_not_setwise(self):
-        G = group_from_generators([P(4, [(0, 1)]), P(4, [(0, 1, 2, 3)])])
+        G = PermutationGroup(4, [P(4, [(0, 1)]), P(4, [(0, 1, 2, 3)])])
         # Setwise stabilizer of {0, 1} has order 4; pointwise only 2.
         assert G.stabilizer([0, 1]).order() == 2
 
     def test_transitivity_degrees(self):
         cases = [
-            (group_from_generators([P(4, [(0, 1, 2, 3)])]), 1),
-            (group_from_generators([P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])]), 1),
-            (group_from_generators([P(4, [(0, 1, 2)], ), P(4, [(1, 2, 3)])]), 2),
-            (group_from_generators([P(4, [(0, 1)]), P(4, [(0, 1, 2, 3)])]), 4),
-            (group_from_generators([P(5, [(0, 1, 2, 3, 4)]), P(5, [(2, 3, 4)])]), 3),
+            (PermutationGroup(4, [P(4, [(0, 1, 2, 3)])]), 1),
+            (PermutationGroup(4, [P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])]), 1),
+            (PermutationGroup(4, [P(4, [(0, 1, 2)], ), P(4, [(1, 2, 3)])]), 2),
+            (PermutationGroup(4, [P(4, [(0, 1)]), P(4, [(0, 1, 2, 3)])]), 4),
+            (PermutationGroup(5, [P(5, [(0, 1, 2, 3, 4)]), P(5, [(2, 3, 4)])]), 3),
             (PermutationGroup(3, []), 0),
         ]
         for G, k in cases:
@@ -149,7 +149,7 @@ class TestOrbitsAndStabilizers:
 
 class TestBlocksAndInducedAction:
     def test_block_system_detection(self):
-        D4 = group_from_generators([P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])])
+        D4 = PermutationGroup(4, [P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])])
         assert D4.is_block_system([[0, 2], [1, 3]])
         assert not D4.is_block_system([[0, 1], [2, 3]])
         with pytest.raises(GroupError):
@@ -158,7 +158,7 @@ class TestBlocksAndInducedAction:
             D4.is_block_system([[0, 1], [2]])
 
     def test_induced_with_kernel(self):
-        C4 = group_from_generators([P(4, [(0, 1, 2, 3)])])
+        C4 = PermutationGroup(4, [P(4, [(0, 1, 2, 3)])])
         img, faithful = C4.induced_action([[0, 2], [1, 3]])
         assert img.order() == 2
         assert not faithful  # (0 2)(1 3) acts trivially on the blocks
@@ -167,70 +167,44 @@ class TestBlocksAndInducedAction:
         # S3 acting the same way on two copies of {0,1,2}; diagonal blocks.
         a = Permutation([1, 0, 2, 4, 3, 5])
         b = Permutation([1, 2, 0, 4, 5, 3])
-        G = group_from_generators([a, b])
+        G = PermutationGroup(6, [a, b])
         img, faithful = G.induced_action([[0, 3], [1, 4], [2, 5]])
         assert img.order() == 6
         assert faithful
 
     def test_induced_rejects_non_blocks(self):
-        S4 = group_from_generators([P(4, [(0, 1)]), P(4, [(0, 1, 2, 3)])])
+        S4 = PermutationGroup(4, [P(4, [(0, 1)]), P(4, [(0, 1, 2, 3)])])
         with pytest.raises(GroupError):
             S4.induced_action([[0, 1], [2, 3]])
 
 
 class TestSuborbits:
     def test_d4_suborbits(self):
-        D4 = group_from_generators([P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])])
+        D4 = PermutationGroup(4, [P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])])
         assert D4.suborbits(0) == [[0], [1, 3], [2]]
 
     def test_lengths_sum_to_degree(self):
-        G = group_from_generators([P(7, [(0, 1)]), P(7, [tuple(range(7))])])
+        G = PermutationGroup(7, [P(7, [(0, 1)]), P(7, [tuple(range(7))])])
         subs = G.stabilizer([]).suborbits(0)  # S7 itself
         assert sorted(len(s) for s in subs) == [1, 6]
-        C7 = group_from_generators([P(7, [tuple(range(7))])])
+        C7 = PermutationGroup(7, [P(7, [tuple(range(7))])])
         assert [len(s) for s in C7.suborbits(0)] == [1] * 7
 
     def test_suborbits_require_transitive(self):
-        G = group_from_generators([P(4, [(0, 1)])])
+        G = PermutationGroup(4, [P(4, [(0, 1)])])
         with pytest.raises(GroupError):
             G.suborbits(0)
 
     def test_self_paired(self):
-        C3 = group_from_generators([P(3, [(0, 1, 2)])])
+        C3 = PermutationGroup(3, [P(3, [(0, 1, 2)])])
         assert not C3.is_self_paired(0, 1)
-        D4 = group_from_generators([P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])])
+        D4 = PermutationGroup(4, [P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])])
         assert D4.is_self_paired(0, 1)
         with pytest.raises(GroupError):
             D4.is_self_paired(2, 2)
-        G = group_from_generators([P(4, [(0, 1)])])
+        G = PermutationGroup(4, [P(4, [(0, 1)])])
         with pytest.raises(GroupError):
             G.is_self_paired(0, 2)
-
-
-class TestTransporter:
-    def test_against_exhaustive_search(self):
-        A5 = group_from_generators([P(5, [(0, 1, 2, 3, 4)]), P(5, [(2, 3, 4)])])
-        els = list(A5.elements())
-        for src, dst in [((0,), (3,)), ((0, 1), (3, 2)), ((0, 1, 2), (1, 2, 3)),
-                         ((0, 1, 2), (2, 1, 0)), ((0, 1, 2, 3), (1, 0, 3, 2))]:
-            found = any(all(e(s) == d for s, d in zip(src, dst)) for e in els)
-            t = A5.transporter(src, dst)
-            assert (t is not None) == found
-            if t is not None:
-                assert t in A5
-                assert all(t(s) == d for s, d in zip(src, dst))
-
-    def test_none_when_impossible(self):
-        C4 = group_from_generators([P(4, [(0, 1, 2, 3)])])
-        assert C4.transporter((0, 1), (0, 2)) is None
-        assert C4.transporter((0, 1), (1, 2)) is not None
-
-    def test_validates_arguments(self):
-        C4 = group_from_generators([P(4, [(0, 1, 2, 3)])])
-        with pytest.raises(GroupError):
-            C4.transporter((0, 0), (1, 2))
-        with pytest.raises(GroupError):
-            C4.transporter((0, 1), (1,))
 
 
 @st.composite
