@@ -4,9 +4,9 @@ Each builder returns a Triple: the graph, a permutation group acting on its
 vertices, and the vertex partition the quotient collapses.  Vertices of the
 pair families are ordered distinct pairs of an underlying point set, in the
 lexicographic numbering of graphs.pair_index; flag families use the
-point-major flag order of designs.flags.  Builders verify the parameters
-they advertise (cross valency t and cross support k) on a sample block pair
-before returning.
+point-major flag order of IncidenceStructure.flags.  Builders verify the
+parameters they advertise (cross valency t and cross support k) on a
+sample block pair before returning.
 
 Constructions are named by tags such as ``cr:q=5:d=4:s=1``: a kind word,
 then ``key=value`` fields, with ``star:`` wrapping any other tag.  This
@@ -632,7 +632,8 @@ _GROUPS = (
 
 # Design tags: (pattern, flag count, builder), read like the group table.
 # ag_d<d> is the binary affine space of dimension d with its hyperplanes
-# as blocks: 2(2^d - 1) blocks of 2^(d-1) points.
+# as blocks: 2(2^d - 1) blocks of 2^(d-1) points; ag_design refuses a
+# dimension past 6 itself.
 _DESIGNS = (
     (r"s22|steiner_22", lambda: 77 * 6, lambda: steiner_3_22_6()),
     (r"h12|hadamard_12", lambda: 22 * 6, lambda: design_3_12_6_2()),
@@ -647,6 +648,7 @@ _DESIGNS = (
 def _token_spec(
     table: tuple, token: str, what: str, error: type
 ) -> tuple[Optional[int], Callable]:
+    """(count, builder) from the first row of ``table`` matching ``token``."""
     for pattern, count, build in table:
         m = re.fullmatch(pattern, token)
         if m:
