@@ -29,10 +29,8 @@ from .classify import (
 from .constructions import (
     Triple,
     build_triple,
-    cross_ratio_graph,
     parse_tag,
     star_transform,
-    twisted_cross_ratio_graph,
 )
 from .designs import design_3_12_6_2, steiner_3_22_6
 from .errors import (
@@ -144,13 +142,14 @@ def _cr_sweep() -> tuple:
             sd = F.subfield_degree(F.element(idx))
             for s in range(1, sd + 1):
                 if sd % s == 0:
-                    out.append((q, idx, sd, s, cross_ratio_graph(q, idx, s)))
+                    T = build_triple(parse_tag(f"cr:q={q}:d={idx}:s={s}"))
+                    out.append((q, sd, s, T))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _tcr9_cases() -> tuple:
-    """(index, square?, triple-or-None) for every even-closure shift over
+    """(tag, square?, triple-or-None) for every even-closure shift over
     the nine-element field."""
     F = _field_for(9)
     one = F.element(1)
@@ -160,10 +159,11 @@ def _tcr9_cases() -> tuple:
         el = F.element(idx)
         if F.subfield_degree(el) % 2:
             continue
+        tag = f"tcr:q=9:d={idx}:s=2"
         if el - one in squares:
-            out.append((idx, True, twisted_cross_ratio_graph(9, idx, 2)))
+            out.append((tag, True, build_triple(parse_tag(tag))))
         else:
-            out.append((idx, False, None))
+            out.append((tag, False, None))
     return tuple(out)
 
 
@@ -181,9 +181,9 @@ def _criterion_1() -> list[str]:
 
 def _criterion_2() -> list[str]:
     fails = []
-    for q, idx, sd, s, T in _cr_sweep():
+    for q, sd, s, T in _cr_sweep():
         v, b, k, t, c, complete = _shape(T)
-        tag = f"cr:q={q}:d={idx}:s={s}"
+        tag = T.provenance.tag
         if (v, b, k, t) != (q, q, q - 1, sd // s):
             fails.append(
                 f"{tag} measured (v,b,k,t)=({v},{b},{k},{t}), "
@@ -196,15 +196,14 @@ def _criterion_2() -> list[str]:
 
 def _criterion_3() -> list[str]:
     fails = []
-    for idx, is_square, T in _tcr9_cases():
-        tag = f"tcr:q=9:d={idx}:s=2"
+    for tag, is_square, T in _tcr9_cases():
         if is_square:
             v, b, k, t, c, complete = _shape(T)
             if (k, t) != (8, 1) or not complete:
                 fails.append(f"{tag} measured (k,t)=({k},{t}), wanted (8,1)")
         else:
             try:
-                twisted_cross_ratio_graph(9, idx, 2)
+                build_triple(parse_tag(tag))
                 fails.append(f"{tag} built; a non-square shift must be rejected")
             except NotSelfPairedError:
                 pass
@@ -215,7 +214,7 @@ def _criterion_3() -> list[str]:
     v, b, k, t, c, complete = _shape(big)
     if big.graph.n != 6642 or t != 2 or not complete:
         fails.append(
-            f"tcr:q=81:d=3:s=2 gives n={big.graph.n}, t={t}; wanted n=6642, t=2"
+            f"{big.provenance.tag} gives n={big.graph.n}, t={t}; wanted n=6642, t=2"
         )
     return fails
 
@@ -318,17 +317,17 @@ def _criterion_7() -> list[str]:
 
 def _criterion_8() -> list[str]:
     fails = []
-    for q, idx, sd, s, T in _cr_sweep():
+    for q, sd, s, T in _cr_sweep():
         want = _cr_expected(q, sd // s)
         verdict = classify_triple(T).theorem_case
         if verdict not in want:
-            fails.append(f"cr:q={q}:d={idx}:s={s} classified {verdict}, not {want}")
-    for idx, is_square, T in _tcr9_cases():
+            fails.append(f"{T.provenance.tag} classified {verdict}, not {want}")
+    for _, is_square, T in _tcr9_cases():
         if not is_square:
             continue
         verdict = classify_triple(T).theorem_case
         if verdict not in _cr_expected(9, 1):
-            fails.append(f"tcr:q=9:d={idx}:s=2 classified {verdict}")
+            fails.append(f"{T.provenance.tag} classified {verdict}")
     for name, (_, want) in _FIXTURES.items():
         verdict = classify_triple(_triple(name)).theorem_case
         if verdict not in want:
@@ -346,7 +345,7 @@ def _criterion_8() -> list[str]:
 def _criterion_9() -> list[str]:
     fails = []
 
-    counted = [T for _, _, _, _, T in _cr_sweep()]
+    counted = [T for _, _, _, T in _cr_sweep()]
     counted += [T for _, sq, T in _tcr9_cases() if sq]
     counted += [_triple(name) for name in _FIXTURES]
     for T in counted:

@@ -20,7 +20,7 @@ parses back to the same triple.
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .designs import (
     IncidenceStructure,
@@ -321,16 +321,17 @@ def pair_graph(
         return inside if rule.tag == "design_in" else not inside
 
     npairs = m * (m - 1)
-    edges = []
-    for a in range(npairs):
-        i, j = divmod(a, m - 1)
-        j = j + 1 if j >= i else j
-        for b in range(a + 1, npairs):
-            i2, j2 = divmod(b, m - 1)
-            j2 = j2 + 1 if j2 >= i2 else j2
-            if adjacent(i, j, i2, j2):
-                edges.append((a, b))
-    graph = Graph.from_edges(npairs, edges)
+    def edges() -> Iterator[tuple[int, int]]:
+        for a in range(npairs):
+            i, j = divmod(a, m - 1)
+            j = j + 1 if j >= i else j
+            for b in range(a + 1, npairs):
+                i2, j2 = divmod(b, m - 1)
+                j2 = j2 + 1 if j2 >= i2 else j2
+                if adjacent(i, j, i2, j2):
+                    yield a, b
+
+    graph = Graph.from_edges(npairs, edges())
     params = []
     if group_label:
         params.append(("group", group_label))
@@ -408,14 +409,15 @@ def flag_graph(
         return meet == 0 if rule.tag == "m22_disjoint" else meet == 2
 
     nf = len(flag_list)
-    edges = []
-    for a in range(nf):
-        p, bi = flag_list[a]
-        for b in range(a + 1, nf):
-            p2, bi2 = flag_list[b]
-            if adjacent(p, bi, p2, bi2):
-                edges.append((a, b))
-    graph = Graph.from_edges(nf, edges)
+    def edges() -> Iterator[tuple[int, int]]:
+        for a in range(nf):
+            p, bi = flag_list[a]
+            for b in range(a + 1, nf):
+                p2, bi2 = flag_list[b]
+                if adjacent(p, bi, p2, bi2):
+                    yield a, b
+
+    graph = Graph.from_edges(nf, edges())
 
     block_index = {blk: i for i, blk in enumerate(D.blocks)}
     gens = []
@@ -708,9 +710,11 @@ def build_triple(tag: Provenance) -> Triple:
         return build(int(f["q"]), int(f["d"]), int(f["s"]))
     if tag.kind == "flag":
         design = _design_spec(f["design"])[1]()
-        group = _group_spec(f["group"])[1]()
+        degree, build_group = _group_spec(f["group"])
+        if degree is not None and degree != design.v:
+            raise ConstructionError("group degree does not match the design")
         return flag_graph(
-            design, group, FlagRule(f["rule"]),
+            design, build_group(), FlagRule(f["rule"]),
             design_label=f["design"], group_label=f["group"],
         )
     group = _group_spec(f["group"])[1]()

@@ -2,10 +2,12 @@
 
 A graph stores one integer per vertex whose set bits are the neighbour set,
 so adjacency tests, cross-valency counts, and complement tricks are single
-mask operations.  The recognizers decompose a graph into connected
-components and name the shape when every component is the same complete,
-complete bipartite, complete multipartite, or cycle graph; everything else
-is tagged Other rather than guessed at.
+mask operations.  Beside the rows it keeps one sorted neighbour tuple per
+vertex, which edge walks, the symmetry check and the writers read.  The
+recognizers decompose a graph into connected components and name the
+shape when every component is the same complete, complete bipartite,
+complete multipartite, or cycle graph; everything else is tagged Other
+rather than guessed at.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ ISO_CAP = 256
 
 
 class Graph:
-    """Undirected loop-free graph on vertices 0..n-1 with bitset rows."""
+    """Undirected loop-free graph on vertices 0..n-1: bitset rows for mask
+    arithmetic, and one sorted neighbour tuple per vertex for walking."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "nbrs")
 
-    def __init__(self, n: int, adj: Sequence[int]):
+    def __init__(self, n: int, adj: Sequence[int], nbrs: Sequence[tuple] | None = None):
+        """``nbrs``, when given, must list the set bits of each row."""
         if n < 1:
             raise GraphError("graph needs at least one vertex")
         if len(adj) != n:
@@ -35,60 +39,59 @@ class Graph:
                 raise GraphError(f"row {u} has bits outside 0..{n - 1}")
             if row >> u & 1:
                 raise GraphError(f"loop at vertex {u}")
-        for u, row in enumerate(rows):
-            rest = row
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if not rows[v] >> u & 1:
-                    raise GraphError(f"edge {u}-{v} missing its reverse")
+        nbrs = tuple(nbrs) if nbrs is not None else tuple(tuple(_bits(r)) for r in rows)
+        # walking u upward meets the vertices that list v in ascending
+        # order, so each must be the next entry of v's sorted tuple
+        its = [iter(nb) for nb in nbrs]
+        if any(next(its[v], None) != u for u, nb in enumerate(nbrs) for v in nb):
+            for u, nb in enumerate(nbrs):
+                for v in nb:
+                    if not rows[v] >> u & 1:
+                        raise GraphError(f"edge {u}-{v} missing its reverse")
         self.n = n
         self.adj = rows
+        self.nbrs: tuple[tuple[int, ...], ...] = nbrs
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
+        ids = list(range(n))  # one int object per vertex, shared by all lists
+        nbrs: list = [[] for _ in ids]
         for u, v in edges:
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {u}-{v} out of range")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n, rows)
+            nbrs[u].append(ids[v])
+            nbrs[v].append(ids[u])
+        for u, nb in enumerate(nbrs):
+            nbrs[u] = tuple(sorted(set(nb)))
+        return cls(n, [sum(1 << v for v in nb) for nb in nbrs], nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
+        return len(self.nbrs[u])
 
     @property
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.adj) // 2
+        return sum(map(len, self.nbrs)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u, row in enumerate(self.adj):
-            rest = row >> (u + 1) << (u + 1)
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                out.append((u, v))
-        return out
+        return [(u, v) for u, nb in enumerate(self.nbrs) for v in nb if v > u]
 
     def valency(self) -> int:
         """Common vertex degree; raises when the graph is not regular."""
-        degrees = {r.bit_count() for r in self.adj}
+        degrees = set(map(len, self.nbrs))
         if len(degrees) != 1:
             raise GraphError("graph is not regular")
         return degrees.pop()
 
     def is_regular(self) -> bool:
-        return len({r.bit_count() for r in self.adj}) == 1
+        return len(set(map(len, self.nbrs))) == 1
 
     def neighbors(self, u: int) -> list[int]:
-        return _bits(self.adj[u])
+        return list(self.nbrs[u])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -297,7 +300,7 @@ def orbital_graph(G: PermutationGroup, x: int, y: int) -> Graph:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return Graph.from_edges(n, [divmod(code, n) for code in seen])
+    return Graph.from_edges(n, (divmod(code, n) for code in seen))
 
 
 def quotient_graph(g: Graph, P: Partition) -> Graph:
@@ -446,7 +449,7 @@ def _refine_colors(g: Graph) -> list[int]:
     colors = [g.degree(u) for u in range(g.n)]
     while True:
         sigs = [
-            (colors[u], tuple(sorted(colors[v] for v in _bits(g.adj[u]))))
+            (colors[u], tuple(sorted(colors[v] for v in g.nbrs[u])))
             for u in range(g.n)
         ]
         canon = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -498,29 +501,23 @@ def is_g_symmetric(g: Graph, G: PermutationGroup) -> bool:
     vertices and ordered adjacent pairs."""
     if G.degree != g.n:
         raise GraphError("group degree does not match the graph")
-    for p in G.generators:
-        for u in range(g.n):
-            pu = p(u)
-            mapped = 0
-            for v in _bits(g.adj[u]):
-                mapped |= 1 << p(v)
-            if mapped != g.adj[pu]:
+    nbrs = g.nbrs
+    gen_images = [p.images for p in G.generators]
+    for im in gen_images:
+        for u, nb in enumerate(nbrs):
+            if tuple(sorted(map(im.__getitem__, nb))) != nbrs[im[u]]:
                 return False
     if not G.is_transitive():
         return False
-    arcs = 2 * g.edge_count
+    arcs = sum(map(len, nbrs))
     if arcs == 0:
         return True
-    edges = g.edges()
-    u0, v0 = edges[0]
     n = g.n
-    seen = {u0 * n + v0}
-    queue = [u0 * n + v0]
-    qi = 0
-    gen_images = [p.images for p in G.generators]
-    while qi < len(queue):
-        code = queue[qi]
-        qi += 1
+    u0 = next(u for u, nb in enumerate(nbrs) if nb)
+    start = u0 * n + nbrs[u0][0]
+    seen = {start}
+    queue = [start]
+    for code in queue:
         a, b = divmod(code, n)
         for im in gen_images:
             nxt = im[a] * n + im[b]
@@ -533,6 +530,9 @@ def is_g_symmetric(g: Graph, G: PermutationGroup) -> bool:
 # ---------------------------------------------------------------------------
 # Serialization.
 
+_G6_CHUNK = {format(v, "06b"): chr(v + 63) for v in range(64)}
+
+
 def graph_to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
@@ -543,19 +543,12 @@ def graph_to_graph6(g: Graph) -> str:
         )
     else:
         raise GraphError("graph too large for this graph6 writer")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(g.adj[i] >> j & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[k : k + 6]:
-            val = val << 1 | bit
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+    # column j lists whether i ~ j for i = 0..j-1: row j's low bits, lowest first
+    bits = "".join(
+        format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)
+    )
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(_G6_CHUNK[bits[k : k + 6]] for k in range(0, len(bits), 6))
 
 
 def graph_from_graph6(text: str) -> Graph:
@@ -579,19 +572,11 @@ def graph_from_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphError(f"graph6 body has {len(body)} chars, expected {need}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend(val >> shift & 1 for shift in (5, 4, 3, 2, 1, 0))
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return Graph(n, rows)
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    # column j holds i ~ j for i = 0..j-1 and starts at bit j(j-1)/2
+    return Graph.from_edges(
+        n, [(i, j) for j in range(1, n) for i in range(j) if bits[j * (j - 1) // 2 + i] == "1"]
+    )
 
 
 def graph_to_dimacs(g: Graph) -> str:
@@ -639,7 +624,7 @@ def graph_from_dimacs(text: str) -> Graph:
 
 
 def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "adj": [_bits(row) for row in g.adj]}
+    return {"n": g.n, "adj": [list(nb) for nb in g.nbrs]}
 
 
 def graph_from_json(data: dict) -> Graph:

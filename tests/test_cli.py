@@ -298,6 +298,21 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("symquot: ") and err.count("\n") == 1
 
+    # the group token names a degree other than the design's point count
+    FLAG_DEGREE_MISMATCH = [
+        "flag:design=s22:group=s400:rule=same_block",
+        "flag:design=h12:group=pgl2_q9973:rule=same_block",
+        "flag:design=ag_d6:group=a65:rule=disjoint_blocks",
+    ]
+
+    @pytest.mark.parametrize("tag", FLAG_DEGREE_MISMATCH)
+    def test_flag_group_degree_refused_before_building(self, tag):
+        t0 = time.perf_counter()
+        code, out, err = invoke("construct", tag)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and out == ""
+        assert err == "symquot: group degree does not match the design\n"
+
     GROUP_TOKENS = [
         "s5", "a7", "agl_d3", "m11", "m11_12", "m12", "m22", "aut_m22",
         "m23", "m24", "z24_a7", "pgl2_q7", "psl2_q11", "pgammal_q8_s1",

@@ -1,5 +1,8 @@
 """Graph container, recognizers, and serialization formats."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from symquot.graphs import (
     OTHER,
     Graph,
     Partition,
+    _bits,
     bipartite_between,
     complete_graph,
     complete_multipartite_graph,
@@ -407,3 +411,243 @@ def test_components_partition_vertices(g):
     comps = connected_components(g)
     seen = sorted(v for comp in comps for v in comp)
     assert seen == list(range(g.n))
+
+
+# ---------------------------------------------------------------------------
+# The neighbour-tuple core against references that read only the bitsets.
+
+
+def _row_bits(row, n):
+    return tuple(v for v in range(n) if row >> v & 1)
+
+
+def _assert_nbrs_match_rows(g):
+    assert len(g.nbrs) == g.n
+    for row, nb in zip(g.adj, g.nbrs):
+        assert nb == tuple(_bits(row)) == _row_bits(row, g.n)
+
+
+def _random_graph(n, rng, density=0.3):
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs())
+def test_nbrs_match_rows(g):
+    _assert_nbrs_match_rows(g)  # from_edges
+    rebuilt = Graph(g.n, g.adj)
+    _assert_nbrs_match_rows(rebuilt)
+    assert rebuilt.nbrs == g.nbrs
+    assert g.edges() == [
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1
+    ]
+    assert graph_to_json(g)["adj"] == [list(_row_bits(r, g.n)) for r in g.adj]
+
+
+def test_nbrs_of_builders_and_orbital_graphs():
+    for g in (
+        complete_graph(6),
+        cycle_graph(7),
+        complete_multipartite_graph([2, 3, 1]),
+        disjoint_union([complete_graph(3), cycle_graph(4)]),
+    ):
+        _assert_nbrs_match_rows(g)
+    S5 = sym_alt(5, False)
+    _assert_nbrs_match_rows(orbital_graph(S5, 0, 1))
+    dih = PermutationGroup(
+        8, [Permutation([(i + 1) % 8 for i in range(8)]), Permutation([(-i) % 8 for i in range(8)])]
+    )
+    for y in range(1, 8):
+        _assert_nbrs_match_rows(orbital_graph(dih, 0, y))
+
+
+def test_from_edges_merges_repeated_edges():
+    g = Graph.from_edges(4, [(0, 1), (1, 0), (0, 1), (2, 3)])
+    assert g.nbrs == ((1,), (0,), (3,), (2,))
+    assert g.edge_count == 2
+
+
+@pytest.mark.parametrize(
+    "n,rows,message",
+    [
+        (3, [0b110, 0b001, 0b000], "edge 0-2 missing its reverse"),
+        (3, [0b010, 0b000, 0b000], "edge 0-1 missing its reverse"),
+        (3, [0b000, 0b100, 0b000], "edge 1-2 missing its reverse"),
+        (3, [0b101, 0b000, 0b001], "loop at vertex 0"),
+        (3, [0b000, 0b010, 0b000], "loop at vertex 1"),
+        (3, [0b1000, 0, 0], "row 0 has bits outside 0..2"),
+        (2, [0, -1], "row 1 has bits outside 0..1"),
+        (3, [0, 0], "adjacency has 2 rows for 3 vertices"),
+        (0, [], "graph needs at least one vertex"),
+    ],
+)
+def test_bad_rows_still_raise(n, rows, message):
+    with pytest.raises(GraphError, match=message):
+        Graph(n, rows)
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(0, 1), (2, 2)], "loop at vertex 2"),
+        ([(0, 3)], "edge 0-3 out of range"),
+        ([(-1, 0)], "edge -1-0 out of range"),
+    ],
+)
+def test_bad_edges_still_raise(edges, message):
+    with pytest.raises(GraphError, match=message):
+        Graph.from_edges(3, edges)
+
+
+def _symmetric_by_elements(g, G):
+    """is_g_symmetric by brute force over every group element."""
+    elements = [p.images for p in G.elements()]
+    arcs = {(u, v) for u in range(g.n) for v in range(g.n) if g.has_edge(u, v)}
+    for im in elements:
+        if {(im[u], im[v]) for u, v in arcs} != arcs:
+            return False
+    if {im[0] for im in elements} != set(range(g.n)):
+        return False
+    if not arcs:
+        return True
+    u0, v0 = min(arcs)
+    return {(im[u0], im[v0]) for im in elements} == arcs
+
+
+def _block_sizes(n):
+    """Block sizes b for which S_b wr S_(n/b) has at most 7! elements."""
+    return [
+        b for b in range(1, n + 1)
+        if n % b == 0
+        and math.factorial(n // b) * math.factorial(b) ** (n // b) <= 5040
+    ]
+
+
+@st.composite
+def _graph_and_group(draw):
+    """A graph on at most 9 vertices and a group that permutes consecutive
+    blocks of size b, small enough to list.  Half the graphs are unions of
+    generator orbits on edges, so the group preserves them."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    b = draw(st.sampled_from(_block_sizes(n)))
+    c = n // b
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        outer = draw(st.permutations(range(c)))
+        inner = [draw(st.permutations(range(b))) for _ in range(c)]
+        gens.append(
+            Permutation([outer[x // b] * b + inner[x // b][x % b] for x in range(n)])
+        )
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(u, v) for u, v in draw(st.sets(pairs, max_size=12)) if u != v}
+    if draw(st.booleans()):
+        todo = list(edges)
+        while todo:
+            u, v = todo.pop()
+            for p in gens:
+                e = (p(u), p(v))
+                if e not in edges and e[::-1] not in edges:
+                    edges.add(e)
+                    todo.append(e)
+    return Graph.from_edges(n, edges), PermutationGroup(n, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_and_group())
+def test_is_g_symmetric_matches_brute_force(case):
+    g, G = case
+    assert is_g_symmetric(g, G) == _symmetric_by_elements(g, G)
+
+
+def _dihedral(n):
+    return PermutationGroup(
+        n,
+        [
+            Permutation([(i + 1) % n for i in range(n)]),
+            Permutation([(-i) % n for i in range(n)]),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "g,G,want",
+    [
+        # the reflection i -> -i maps edge {0, 1} to the non-edge {0, 5}
+        (Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]), _dihedral(6), False),
+        # swapping the two triangles' vertices 0 and 3 alone breaks adjacency
+        (
+            disjoint_union([complete_graph(3)] * 2),
+            PermutationGroup(6, [Permutation([3, 1, 2, 0, 4, 5])]),
+            False,
+        ),
+        # invariant but intransitive: the group fixes vertex 4
+        (
+            Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            PermutationGroup(
+                5, [Permutation([1, 2, 3, 0, 4]), Permutation([0, 3, 2, 1, 4])]
+            ),
+            False,
+        ),
+        # the arc orbit of the matching has four members, as many as its
+        # arcs, but two of them are non-edges: counting alone accepts this
+        (
+            Graph.from_edges(4, [(0, 1), (2, 3)]),
+            PermutationGroup(4, [Permutation([1, 2, 3, 0])]),
+            False,
+        ),
+        (Graph(5, [0] * 5), _dihedral(5), True),  # edgeless, transitive
+        (Graph(5, [0] * 5), PermutationGroup(5, [Permutation([1, 0, 2, 3, 4])]), False),
+        (Graph(1, [0]), PermutationGroup(1, []), True),
+        (cycle_graph(6), _dihedral(6), True),
+        (cycle_graph(6), PermutationGroup(6, _dihedral(6).generators[:1]), False),
+    ],
+    ids=[
+        "breaks_adjacency",
+        "one_generator_breaks_adjacency",
+        "intransitive",
+        "arc_count_coincidence",
+        "edgeless_transitive",
+        "edgeless_intransitive",
+        "single_vertex",
+        "dihedral_cycle",
+        "rotations_only",
+    ],
+)
+def test_is_g_symmetric_cases(g, G, want):
+    assert _symmetric_by_elements(g, G) == want
+    assert is_g_symmetric(g, G) == want
+
+
+def _graph6_reference(g):
+    """graph6 one bit at a time, straight from the format description."""
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+    bits = [int(g.has_edge(i, j)) for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    body = []
+    for k in range(0, len(bits), 6):
+        val = 0
+        for bit in bits[k : k + 6]:
+            val = val << 1 | bit
+        body.append(chr(val + 63))
+    return head + "".join(body)
+
+
+def test_graph6_matches_reference_for_every_small_order():
+    rng = random.Random(7)
+    for n in range(1, 71):
+        for density in (0.0, 0.4, 1.0):
+            g = _random_graph(n, rng, density)
+            assert graph_to_graph6(g) == _graph6_reference(g), (n, density)
+
+
+def test_graph6_matches_reference_above_two_hundred_vertices():
+    g = _random_graph(233, random.Random(11), 0.2)
+    text = graph_to_graph6(g)
+    assert text == _graph6_reference(g)
+    assert graph_from_graph6(text) == g
