@@ -237,3 +237,46 @@ def test_membership_agrees_with_closure(case, data):
     cl = closure(gens) if any(not g.is_identity() for g in gens) else {tuple(range(n))}
     probe = tuple(data.draw(st.permutations(list(range(n)))))
     assert (Permutation(probe) in G) == (probe in cl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_generating_sets())
+def test_self_paired_agrees_with_closure(case):
+    n, gens = case
+    G = PermutationGroup(n, gens)
+    cl = closure(gens) if any(not g.is_identity() for g in gens) else {tuple(range(n))}
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            if not any(g[x] == y for g in cl):
+                with pytest.raises(GroupError):
+                    G.is_self_paired(x, y)
+                continue
+            swapped = any(g[x] == y and g[y] == x for g in cl)
+            assert G.is_self_paired(x, y) == swapped
+
+
+def test_self_paired_on_a_pair_lift():
+    from symquot.constructions import pair_action
+    from symquot.graphs import pair_index
+    from symquot.groups_catalog import m_group, pgammal_subgroup
+
+    # ordered pairs of the projective line over GF(9): is some element of
+    # the point group swapping (0, 1) and (k, l)?
+    answers = set()
+    for point in (pgammal_subgroup(9, 1), m_group(1, 9)):
+        big = pair_action(point)
+        m = point.degree
+        elements = [g.images for g in point.elements()]
+        for k in range(m):
+            for l in range(m):
+                if k == l or (k, l) == (0, 1):
+                    continue
+                want = any(
+                    g[0] == k and g[1] == l and g[k] == 0 and g[l] == 1
+                    for g in elements
+                )
+                answers.add(want)
+                assert big.is_self_paired(0, pair_index(m, k, l)) == want
+    assert answers == {True, False}
