@@ -116,28 +116,15 @@ class ClassificationVerdict(NamedTuple):
 def _two_transitive_within_block(group: PermutationGroup, partition: Partition) -> bool:
     # Blocks move whole, so the orbit of an ordered pair inside one block
     # meets that block's square in a single block-stabilizer orbit.  Double
-    # transitivity of the stabilizer on its block is then one orbit count.
+    # transitivity of the stabilizer on its block is then one orbit count;
+    # the orbit holds (a, b) when b is in the suborbit G_x.y carried to a.
     home = partition.blocks[0]
     v = len(home)
     if v == 1:
         return True
-    n = group.degree
-    gens = [g.images for g in group.generators]
-    start = home[0] * n + home[1]
-    seen = {start}
-    frontier = [(home[0], home[1])]
-    while frontier:
-        nxt = []
-        for a, b in frontier:
-            for im in gens:
-                c, d = im[a], im[b]
-                code = c * n + d
-                if code not in seen:
-                    seen.add(code)
-                    nxt.append((c, d))
-        frontier = nxt
+    out = group.translates(home[0], group.suborbit(home[0], home[1]))
     inside = set(home)
-    hits = sum(1 for code in seen if code // n in inside and code % n in inside)
+    hits = sum(len(inside.intersection(out[a])) for a in home if out[a] is not None)
     return hits == v * (v - 1)
 
 

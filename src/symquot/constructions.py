@@ -50,7 +50,7 @@ from .groups_catalog import (
     sym_alt,
     z24_a7,
 )
-from .permgroup import DEGREE_CAP, LiftedGroup, Permutation, PermutationGroup
+from .permgroup import DEGREE_CAP, LiftedGroup, PermutationGroup
 
 
 class TagError(Exception):
@@ -141,17 +141,15 @@ def pair_action(G: PermutationGroup) -> LiftedGroup:
     m = G.degree
     if m < 3:
         raise ConstructionError("pair domain needs at least three points")
-    npairs = m * (m - 1)
-    gens = []
-    for g in G.generators:
-        im = g.images
-        images = [0] * npairs
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    images[pair_index(m, i, j)] = pair_index(m, im[i], im[j])
-        gens.append(Permutation(images))
-    return LiftedGroup(npairs, gens, G, pair_partition(m).blocks)
+    w = m - 1
+
+    def act(im: tuple[int, ...], z: int) -> int:
+        # pair_from_index, the point images, then pair_index
+        i, r = divmod(z, w)
+        a, b = im[i], im[r + (r >= i)]
+        return a * w + b - (b > a)
+
+    return LiftedGroup(G, act, pair_partition(m).blocks)
 
 
 def pair_partition(m: int) -> Partition:
@@ -420,13 +418,11 @@ def flag_graph(
     graph = Graph.from_edges(nf, edges())
 
     block_index = {blk: i for i, blk in enumerate(D.blocks)}
-    gens = []
-    for g in G.generators:
-        images = [0] * nf
-        for a, (p, bi) in enumerate(flag_list):
-            target = tuple(sorted(g(x) for x in D.blocks[bi]))
-            images[a] = flag_of[(g(p), block_index[target])]
-        gens.append(Permutation(images))
+
+    def act(im: tuple[int, ...], z: int) -> int:
+        p, bi = flag_list[z]
+        target = tuple(sorted(im[x] for x in D.blocks[bi]))
+        return flag_of[(im[p], block_index[target])]
 
     blocks = []
     start = 0
@@ -437,7 +433,7 @@ def flag_graph(
     # Partition refuses an empty block, so every point lies on a flag and
     # the lift is faithful.
     partition = Partition(blocks)
-    flag_group = LiftedGroup(nf, gens, G, partition.blocks)
+    flag_group = LiftedGroup(G, act, partition.blocks)
 
     params = []
     if design_label:
@@ -476,30 +472,15 @@ def star_transform(T: Triple) -> Triple:
         raise ConstructionError("support rectangle is complete; nothing to swap")
 
     # one group orbit must cover the rectangle's non-edges (pairs that leave
-    # the rectangle land in other block pairs and do not matter here)
-    n = g.n
+    # the rectangle land in other block pairs and do not matter here).
+    # {x, y} lies in the orbit of {x0, y0} when y is in N(x) or x in N(y),
+    # where N carries the suborbit of (x0, y0) along the orbit of x0.
     x0, y0 = non_edges[0]
-    code0 = min(x0, y0) * n + max(x0, y0)
-    seen = {code0}
-    queue = [code0]
-    qi = 0
-    gen_images = [p.images for p in T.group.generators]
-    while qi < len(queue):
-        a, b = divmod(queue[qi], n)
-        qi += 1
-        for im in gen_images:
-            p2, q2 = im[a], im[b]
-            if p2 > q2:
-                p2, q2 = q2, p2
-            nxt = p2 * n + q2
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    for x, y in non_edges:
-        if min(x, y) * n + max(x, y) not in seen:
-            raise ConstructionError(
-                "non-edges of the support rectangle split into several orbits"
-            )
+    N = T.group.translates(x0, T.group.suborbit(x0, y0))
+    if any(y not in (N[x] or ()) and x not in (N[y] or ()) for x, y in non_edges):
+        raise ConstructionError(
+            "non-edges of the support rectangle split into several orbits"
+        )
 
     rows = list(g.adj)
     for bi, bj in qedges:

@@ -65,7 +65,7 @@ class Graph:
             nbrs[v].append(ids[u])
         for u, nb in enumerate(nbrs):
             nbrs[u] = tuple(sorted(set(nb)))
-        return cls(n, [sum(1 << v for v in nb) for nb in nbrs], nbrs)
+        return cls(n, _rows(n, nbrs), nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -103,6 +103,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _rows(n: int, nbrs: Iterable[Iterable[int]]) -> list[int]:
+    """Bitset rows from neighbour lists, set byte by byte: adding 1 << v to
+    a growing row would cost the row's length for every neighbour."""
+    out = []
+    for nb in nbrs:
+        row = bytearray((n + 7) // 8)
+        for v in nb:
+            row[v >> 3] |= 1 << (v & 7)
+        out.append(int.from_bytes(row, "little"))
+    return out
 
 
 def _bits(mask: int) -> list[int]:
@@ -276,31 +288,17 @@ def pair_from_index(m: int, idx: int) -> tuple[int, int]:
 # Group-derived graphs.
 
 def orbital_graph(G: PermutationGroup, x: int, y: int) -> Graph:
-    """Graph whose edge set is the orbit of {x, y} under the group."""
+    """Graph whose edge set is the orbit of {x, y} under the group; the
+    orbital of (x, y) must be self-paired."""
     if not G.is_self_paired(x, y):
         raise NotSelfPairedError(
             f"the orbital of ({x},{y}) is not self-paired; "
             "its orbital graph would be directed"
         )
-    n = G.degree
-    a, b = min(x, y), max(x, y)
-    start = a * n + b
-    seen = {start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        code = queue[qi]
-        qi += 1
-        u, v = divmod(code, n)
-        for im in (g.images for g in G.generators):
-            p, q = im[u], im[v]
-            if p > q:
-                p, q = q, p
-            nxt = p * n + q
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return Graph.from_edges(n, (divmod(code, n) for code in seen))
+    # self-paired, so N(u) = {v : (u, v) in the orbit of (x, y)}: the
+    # suborbit G_x.y carried along x's orbit, and empty off it
+    nbrs = [nb or () for nb in G.translates(x, G.suborbit(x, y))]
+    return Graph(G.degree, _rows(G.degree, nbrs), nbrs)
 
 
 def quotient_graph(g: Graph, P: Partition) -> Graph:
@@ -509,22 +507,10 @@ def is_g_symmetric(g: Graph, G: PermutationGroup) -> bool:
                 return False
     if not G.is_transitive():
         return False
-    arcs = sum(map(len, nbrs))
-    if arcs == 0:
-        return True
-    n = g.n
-    u0 = next(u for u, nb in enumerate(nbrs) if nb)
-    start = u0 * n + nbrs[u0][0]
-    seen = {start}
-    queue = [start]
-    for code in queue:
-        a, b = divmod(code, n)
-        for im in gen_images:
-            nxt = im[a] * n + im[b]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == arcs
+    # G is vertex-transitive and preserves adjacency, so it is transitive
+    # on arcs exactly when G_u is transitive on N(u)
+    u0 = next((u for u, nb in enumerate(nbrs) if nb), None)
+    return u0 is None or len(G.suborbit(u0, nbrs[u0][0])) == len(nbrs[u0])
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +614,15 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    n = data["n"]
-    rows = [0] * n
-    for u, nbrs in enumerate(data["adj"]):
-        for v in nbrs:
-            rows[u] |= 1 << v
-    return Graph(n, rows)
+    try:
+        n, adj = data["n"], data["adj"]
+    except (KeyError, TypeError):
+        raise GraphError('graph JSON needs "n" and "adj"') from None
+    if type(n) is not int or not isinstance(adj, list) or len(adj) != n:
+        raise GraphError('graph JSON needs an integer "n" and a list "adj" of n rows')
+    for u, nbrs in enumerate(adj):
+        if not isinstance(nbrs, list) or any(
+            type(v) is not int or not 0 <= v < n for v in nbrs
+        ):
+            raise GraphError(f"row {u} is not a list of vertices 0..{n - 1}")
+    return Graph(n, _rows(n, adj))

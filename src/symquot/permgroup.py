@@ -11,16 +11,21 @@ preimage permutations through the sifting of the block-action chain, which
 yields an exact kernel-triviality certificate without a stabilizer chain on
 the (possibly much larger) original domain.
 
-A LiftedGroup is the faithful lift of a small point group (ordered pairs
-or flags over its points).  It answers order() and the action on its
-fibres from the point group, with no chain on the lifted domain; other
+suborbit(x, y) is the orbit of y under the stabilizer G_x, and
+translates() carries it along a Schreier tree of x's orbit; orbital
+graphs and the arc and block checks are built from the two.  A
+LiftedGroup is the faithful lift of a small point group (ordered pairs or
+flags over its points), given by the point group and one lift map.  It
+answers order(), the action on its fibres and suborbit() from the point
+group, with no chain and no pair BFS on the lifted domain; other
 questions, and every plain PermutationGroup (foreign triples included),
-keep Schreier-Sims and the kernel certificate above.
+keep Schreier-Sims, the kernel certificate above and a pair BFS over the
+whole domain for suborbits.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GroupError
 
@@ -38,6 +43,25 @@ def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
     for i, x in enumerate(a):
         out[x] = i
     return tuple(out)
+
+
+def _pair_suborbit(gens: Sequence[tuple[int, ...]], n: int, x: int, y: int) -> list[int]:
+    """BFS of the ordered pair (x, y) under gens; the second coordinates of
+    the states whose first is x, sorted."""
+    if not (0 <= x < n and 0 <= y < n):
+        raise GroupError("point out of range")
+    start = x * n + y
+    seen = {start}
+    queue = [start]
+    for code in queue:
+        a, b = divmod(code, n)
+        for im in gens:
+            nxt = im[a] * n + im[b]
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    lo = x * n
+    return sorted(code - lo for code in seen if lo <= code < lo + n)
 
 
 class Permutation:
@@ -441,56 +465,39 @@ class PermutationGroup:
         image = PermutationGroup(len(blks), [Permutation(t) for t in distinct])
         return image, ch.kernel_witness is None
 
-    def _point_stabilizer_gens(self, x: int) -> list[tuple[int, ...]]:
-        """Schreier generators for the stabilizer of x (no chain needed)."""
-        orbit = [x]
-        reps: dict[int, tuple[int, ...]] = {x: tuple(range(self.degree))}
-        qi = 0
-        while qi < len(orbit):
-            pt = orbit[qi]
-            qi += 1
-            rep = reps[pt]
-            for im in self._gen_images:
-                y = im[pt]
-                if y not in reps:
-                    reps[y] = _mul(rep, im)
-                    orbit.append(y)
-        ident = tuple(range(self.degree))
-        out: list[tuple[int, ...]] = []
-        seen = {ident}
-        for pt in orbit:
-            rep = reps[pt]
-            for im in self._gen_images:
-                sch = _mul(_mul(rep, im), _inv(reps[im[pt]]))
-                if sch not in seen:
-                    seen.add(sch)
-                    out.append(sch)
-        return out
+    def suborbit(self, x: int, y: int) -> list[int]:
+        """The orbit of y under the stabilizer of x, sorted."""
+        return _pair_suborbit(self._gen_images, self.degree, x, y)
 
     def suborbits(self, x: int) -> list[list[int]]:
-        """Orbits of the stabilizer of x on all points; {x} first, the rest
-        in discovery order over increasing least point."""
+        """Orbits of the stabilizer of x on all points, each sorted; {x}
+        first, the rest by increasing least point."""
         if not self.is_transitive():
             raise GroupError("suborbits require a transitive group")
-        stab = self._point_stabilizer_gens(x)
         seen = [False] * self.degree
-        seen[x] = True
         out = [[x]]
         for start in range(self.degree):
-            if seen[start]:
-                continue
-            orb = [start]
-            seen[start] = True
-            qi = 0
-            while qi < len(orb):
-                pt = orb[qi]
-                qi += 1
-                for im in stab:
-                    y = im[pt]
-                    if not seen[y]:
-                        seen[y] = True
-                        orb.append(y)
-            out.append(orb)
+            if not seen[start] and start != x:
+                orb = self.suborbit(x, start)
+                for y in orb:
+                    seen[y] = True
+                out.append(orb)
+        return out
+
+    def translates(self, x: int, points: Iterable[int]) -> list[tuple[int, ...] | None]:
+        """Entry u: the sorted image of ``points`` under the Schreier-tree
+        element taking x to u, None off x's orbit.  For ``points`` fixed by
+        G_x setwise (a suborbit, say) it does not depend on the tree."""
+        out: list[tuple[int, ...] | None] = [None] * self.degree
+        out[x] = tuple(sorted(points))
+        queue = [x]
+        for u in queue:
+            here = out[u]
+            for im in self._gen_images:
+                w = im[u]
+                if out[w] is None:
+                    out[w] = tuple(sorted(map(im.__getitem__, here)))
+                    queue.append(w)
         return out
 
     def is_self_paired(self, x: int, y: int) -> bool:
@@ -556,24 +563,31 @@ class PermutationGroup:
 class LiftedGroup(PermutationGroup):
     """A faithful lift of a point group onto a larger domain.
 
-    ``generators[i]`` is the lift of ``point_group.generators[i]``, and
-    ``fibres[p]`` lists the lifted points lying over point p (ordered
-    pairs with first coordinate p, or flags through p).  The builder
-    guarantees faithfulness, so the order and the action on the fibres
-    come from the point group; every other question, and the action on
-    any other partition, takes the generic path.
+    ``act(point_images, z)`` is the image of lifted point z under a point
+    permutation; ``generators[i]`` is derived from it as the lift of
+    ``point_group.generators[i]``.  ``fibres[p]`` lists the lifted points
+    over point p (ordered pairs with first coordinate p, or flags through
+    p) and covers the domain.  The builder guarantees faithfulness, so the
+    order, the action on the fibres and suborbits come from the point
+    group; everything else takes the generic path.
     """
 
     def __init__(
         self,
-        degree: int,
-        generators: Sequence[Permutation],
         point_group: PermutationGroup,
+        act: Callable[[tuple[int, ...], int], int],
         fibres: Sequence[Sequence[int]],
     ):
-        super().__init__(degree, generators)
         self.point_group = point_group
+        self.act = act
         self.fibres = tuple(tuple(f) for f in fibres)
+        self._fibre_of = {z: p for p, fibre in enumerate(self.fibres) for z in fibre}
+        self._fibre_stabilizers: dict[int, list[tuple[int, ...]]] = {}
+        lifts = [Permutation(self._lift(g.images)) for g in point_group.generators]
+        super().__init__(len(self._fibre_of), lifts)
+
+    def _lift(self, point_images: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(self.act(point_images, z) for z in range(len(self._fibre_of)))
 
     def order(self) -> int:
         return self.point_group.order()
@@ -589,3 +603,28 @@ class LiftedGroup(PermutationGroup):
             return P, True
         return PermutationGroup(P.degree, [Permutation(t) for t in distinct]), True
 
+    def suborbit(self, x: int, y: int) -> list[int]:
+        """The stabilizer of x lies in that of its fibre's point p, so the
+        pair BFS runs under the lift of G_p: at most |fibre| times the
+        suborbit's length in states."""
+        p = self._fibre_of.get(x)
+        gens = self._fibre_stabilizer(p) if p is not None else ()
+        return _pair_suborbit(gens, self.degree, x, y)
+
+    def _fibre_stabilizer(self, p: int) -> list[tuple[int, ...]]:
+        """Lifted generators of G_p: the point chain's level-1 strong
+        generators (which generate the stabilizer of its base point b),
+        conjugated by the transversal element taking b to p, or a fresh
+        stabilizer for p outside the first basic orbit."""
+        gens = self._fibre_stabilizers.get(p)
+        if gens is None:
+            levels = self.point_group.chain.levels
+            if levels and p in levels[0].transversal:
+                t = levels[0].transversal[p][0]
+                strong = levels[1].gens if len(levels) > 1 else []
+                point_gens = [_mul(_mul(_inv(t), h[0]), t) for h in strong]
+            else:
+                point_gens = [g.images for g in self.point_group.stabilizer([p]).generators]
+            gens = [self._lift(h) for h in dict.fromkeys(point_gens)]
+            self._fibre_stabilizers[p] = gens
+        return gens

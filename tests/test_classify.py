@@ -13,6 +13,7 @@ from symquot.classify import (
     _match_t1,
     _match_t2,
     _pair_labels,
+    _two_transitive_within_block,
     census,
     classify_triple,
     compute_params,
@@ -36,7 +37,9 @@ from symquot.constructions import (
     design_out,
     flag_graph,
     matching_graph,
+    pair_action,
     pair_graph,
+    pair_partition,
     star_transform,
     twisted_cross_ratio_graph,
 )
@@ -544,3 +547,77 @@ class TestVerdictJson:
         assert doc["params"] is None
         assert doc["corollary_case"] is None
         assert doc["hypotheses"]["complete_quotient"] is False
+
+
+def _two_transitive_by_pair_bfs(group, partition):
+    """Reference: count the ordered pairs inside the first block that lie in
+    the orbit of its first two points, by a BFS over all ordered pairs."""
+    home = partition.blocks[0]
+    if len(home) == 1:
+        return True
+    seen = {(home[0], home[1])}
+    queue = list(seen)
+    for a, b in queue:
+        for g in group.generators:
+            if (g(a), g(b)) not in seen:
+                seen.add((g(a), g(b)))
+                queue.append((g(a), g(b)))
+    inside = set(home)
+    hits = sum(1 for a, b in seen if a in inside and b in inside)
+    return hits == len(home) * (len(home) - 1)
+
+
+@st.composite
+def _group_and_partition(draw):
+    """A group from up to three random generators and any partition of its
+    points, block system or not."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    gens = [
+        Permutation(draw(st.permutations(range(n))))
+        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+    ]
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    blocks = [[x for x in range(n) if labels[x] == c] for c in dict.fromkeys(labels)]
+    return PermutationGroup(n, gens), Partition(blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_group_and_partition())
+def test_two_transitive_within_block_matches_pair_bfs(case):
+    G, P = case
+    assert _two_transitive_within_block(G, P) == _two_transitive_by_pair_bfs(G, P)
+
+
+@pytest.mark.parametrize(
+    "point_group",
+    [sym_alt(4, False), sym_alt(5, False), agl(3, 2), mathieu("M11on12"), sym_alt(6, True)],
+    ids=["s4", "s5", "agl_d3", "m11_12", "a6"],
+)
+def test_two_transitive_within_block_on_pair_lifts(point_group):
+    L = pair_action(point_group)
+    m = L.point_group.degree
+    shuffled = [tuple(range(i, L.degree, m)) for i in range(m)]  # not fibres
+    for P in (pair_partition(m), Partition(shuffled)):
+        assert _two_transitive_within_block(L, P) == _two_transitive_by_pair_bfs(L, P)
+
+
+def test_lift_checks_search_under_fibre_stabilizers(monkeypatch):
+    """On a lift, the orbital graph and the arc and block checks take their
+    suborbits under point stabilizers, never under the whole lifted group."""
+    from symquot import permgroup
+    from symquot.constructions import build_triple, parse_tag
+
+    calls = []
+    real = permgroup._pair_suborbit
+
+    def spy(gens, n, x, y):
+        calls.append(gens)
+        return real(gens, n, x, y)
+
+    monkeypatch.setattr(permgroup, "_pair_suborbit", spy)
+    for tag in ("cr:q=9:d=4:s=1", "tcr:q=9:d=4:s=2", "flag:design=h12:group=m11_12:rule=same_block"):
+        calls.clear()
+        T = build_triple(parse_tag(tag))
+        hyps = verify_hypotheses(T)
+        assert hyps["arc_transitive"] and hyps["two_transitive_blocks"], tag
+        assert len(calls) >= 2 and all(gens is not T.group._gen_images for gens in calls), tag

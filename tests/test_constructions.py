@@ -39,6 +39,7 @@ from symquot.graphs import (
     bipartite_between,
     connected_components,
     is_isomorphic,
+    pair_index,
     quotient_graph,
     recognize_structure,
 )
@@ -178,6 +179,46 @@ class TestLiftedGroup:
         img, faithful = L.induced_action(L.fibres)
         assert _images(img) == _images(_plain(L).induced_action(L.fibres)[0])
         assert _images(img) == [c.images] and faithful
+
+
+_S3_FIXING_3 = PermutationGroup(
+    4, [Permutation.from_cycles(4, [(0, 1, 2)]), Permutation.from_cycles(4, [(1, 2)])]
+)
+
+
+def _suborbit_lifts():
+    out = list(_lifted_groups())
+    out.append(pytest.param(lambda: pair_action(_S3_FIXING_3), id="intransitive"))
+    out.append(pytest.param(lambda: pair_action(PermutationGroup(3, [])), id="trivial"))
+    return out
+
+
+@pytest.mark.parametrize("make", _suborbit_lifts())
+def test_lifted_suborbit_matches_generic(make):
+    L = make()
+    n = L.degree
+    for x in range(n):
+        for y in {x, (7 * x + 1) % n, (x + n // 2) % n}:
+            assert L.suborbit(x, y) == PermutationGroup.suborbit(L, x, y)
+    assert L._chain is None
+
+
+def test_intransitive_lift_uses_the_fallback():
+    # point 3 lies outside the first basic orbit of the point chain, so
+    # its fibre takes the fresh-stabilizer fallback
+    L = pair_action(_S3_FIXING_3)
+    assert 3 not in _S3_FIXING_3.chain.levels[0].transversal
+    x = pair_index(4, 3, 0)  # stabilized by (1 2) only
+    assert L.suborbit(x, pair_index(4, 1, 2)) == [pair_index(4, 1, 2), pair_index(4, 2, 1)]
+    assert L.suborbit(x, pair_index(4, 1, 3)) == [pair_index(4, 1, 3), pair_index(4, 2, 3)]
+    assert L.suborbit(x, pair_index(4, 0, 3)) == [pair_index(4, 0, 3)]
+
+
+def test_lifted_suborbits_of_a_flag_lift():
+    L = FLAG_LIFTS["h12/m11_12"]().group
+    subs = L.suborbits(0)
+    assert subs == PermutationGroup(L.degree, L.generators).suborbits(0)
+    assert sorted(x for sub in subs for x in sub) == list(range(L.degree))
 
 
 def _valid_cr_triples(qs):

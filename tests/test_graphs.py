@@ -4,10 +4,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symquot.errors import GraphError, NotSelfPairedError
+from symquot.classify import _census_instances
+from symquot.constructions import build_triple, parse_tag
+from symquot.errors import GraphError, GroupError, NotSelfPairedError
 from symquot.graphs import (
     OTHER,
     Graph,
@@ -368,6 +370,27 @@ class TestSerialization:
         g = complete_multipartite_graph([2, 2, 2])
         assert graph_from_json(graph_to_json(g)) == g
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 2, "adj": [[-1], []]},
+            {"n": 2, "adj": [[1.0], [0]]},
+            {"n": 2.5, "adj": [[1], [0]]},
+            {"adj": [[1], [0]]},
+            {"n": 2, "adj": [[10 ** 9], []]},
+            {"n": 1, "adj": [[], []]},
+            {"n": 2, "adj": [1, 0]},
+            [[1], [0]],
+        ],
+        ids=[
+            "negative", "float", "float_n", "missing_n",
+            "huge", "extra_row", "int_row", "not_an_object",
+        ],
+    )
+    def test_json_malformed_is_a_graph_error(self, data):
+        with pytest.raises(GraphError):
+            graph_from_json(data)
+
 
 @st.composite
 def _graphs(draw):
@@ -651,3 +674,52 @@ def test_graph6_matches_reference_above_two_hundred_vertices():
     text = graph_to_graph6(g)
     assert text == _graph6_reference(g)
     assert graph_from_graph6(text) == g
+
+
+def _orbital_by_pair_bfs(G, x, y):
+    """Reference orbital graph: BFS of the unordered pair {x, y}."""
+    seen = {(min(x, y), max(x, y))}
+    queue = list(seen)
+    for u, v in queue:
+        for p in G.generators:
+            e = (min(p(u), p(v)), max(p(u), p(v)))
+            if e not in seen:
+                seen.add(e)
+                queue.append(e)
+    return Graph.from_edges(G.degree, seen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_and_group(), st.data())
+def test_orbital_graph_matches_unordered_pair_bfs(case, data):
+    _, G = case
+    assume(G.degree >= 2)
+    x, y = data.draw(st.permutations(range(G.degree)))[:2]
+    arcs = {(x, y)}
+    queue = [(x, y)]
+    for u, v in queue:
+        for p in G.generators:
+            if (p(u), p(v)) not in arcs:
+                arcs.add((p(u), p(v)))
+                queue.append((p(u), p(v)))
+    if y not in G.orbit(x):
+        with pytest.raises(GroupError):
+            orbital_graph(G, x, y)
+    elif (y, x) not in arcs:
+        with pytest.raises(NotSelfPairedError):
+            orbital_graph(G, x, y)
+    else:
+        g, want = orbital_graph(G, x, y), _orbital_by_pair_bfs(G, x, y)
+        assert g == want and g.nbrs == want.nbrs
+
+
+def test_orbital_graphs_of_census_cross_ratio_tags():
+    tags = [tag for tag, _ in _census_instances(9, 3) if tag.startswith(("cr:", "tcr:"))]
+    assert len(tags) >= 10
+    for tag in tags:
+        T = build_triple(parse_tag(tag))
+        fields = dict(f.split("=") for f in tag.split(":")[1:])
+        m = int(fields["q"]) + 1
+        x, y = pair_index(m, 0, 1), pair_index(m, 2, 1 + int(fields["d"]))
+        want = _orbital_by_pair_bfs(T.group, x, y)
+        assert T.graph == want and T.graph.nbrs == want.nbrs, tag

@@ -257,6 +257,32 @@ def test_self_paired_agrees_with_closure(case):
             assert G.is_self_paired(x, y) == swapped
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_generating_sets())
+def test_suborbit_and_translates_agree_with_closure(case):
+    n, gens = case
+    G = PermutationGroup(n, gens)
+    cl = closure(gens) if any(not g.is_identity() for g in gens) else {tuple(range(n))}
+    for x in range(n):
+        for y in range(n):
+            want = sorted({g[y] for g in cl if g[x] == x})
+            assert G.suborbit(x, y) == want
+            # (u, v) lies in the orbit of (x, y) exactly when v is in N(u)
+            N = G.translates(x, want)
+            orbit = {(g[x], g[y]) for g in cl}
+            assert {(u, v) for u, nb in enumerate(N) for v in nb or ()} == orbit
+            assert all((nb is None) == (not any(g[x] == u for g in cl)) for u, nb in enumerate(N))
+
+
+def test_suborbit_rejects_points_out_of_range():
+    C3 = PermutationGroup(3, [P(3, [(0, 1, 2)])])
+    for x, y in ((3, 0), (0, 3), (-1, 0)):
+        with pytest.raises(GroupError):
+            C3.suborbit(x, y)
+    with pytest.raises(GroupError):
+        C3.suborbits(3)
+
+
 def test_self_paired_on_a_pair_lift():
     from symquot.constructions import pair_action
     from symquot.graphs import pair_index
