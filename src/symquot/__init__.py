@@ -33,10 +33,10 @@ from .graphs import (  # noqa: F401
     Graph,
     Partition,
     StructureTag,
-    bipartite_between,
     complete_graph,
     complete_multipartite_graph,
     connected_components,
+    cross_counts,
     cycle_graph,
     disjoint_union,
     graph_from_dimacs,

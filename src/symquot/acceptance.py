@@ -37,14 +37,9 @@ from .errors import (
     ClassificationError,
     ConstructionError,
     NotSelfPairedError,
+    SymquotError,
 )
-from .graphs import (
-    StructureTag,
-    bipartite_between,
-    connected_components,
-    quotient_graph,
-    recognize_structure,
-)
+from .graphs import StructureTag, connected_components, recognize_structure
 from .groups_catalog import _field_for, agl, mathieu, z24_a7
 
 BUDGET_SECONDS = {
@@ -112,27 +107,6 @@ def _triple(name: str) -> Triple:
     return build_triple(parse_tag(_FIXTURES[name][0]))
 
 
-def _shape(T: Triple):
-    """(v, b, k, t, c, complete) measured off the first quotient edge."""
-    g, P = T.graph, T.partition
-    v = P.uniform_block_size()
-    quot = quotient_graph(g, P)
-    b = quot.valency()
-    c = quot.n
-    complete = quot.edge_count == c * (c - 1) // 2
-    k = t = None
-    for j in range(1, c):
-        if not quot.has_edge(0, j):
-            continue
-        cross = bipartite_between(g, P.blocks[0], P.blocks[j])
-        if len(cross) == 1:
-            t = next(iter(cross))
-            mask = P.block_mask(j)
-            k = sum(1 for x in P.blocks[0] if g.adj[x] & mask)
-        break
-    return v, b, k, t, c, complete
-
-
 @lru_cache(maxsize=None)
 def _cr_sweep() -> tuple:
     out = []
@@ -182,14 +156,15 @@ def _criterion_1() -> list[str]:
 def _criterion_2() -> list[str]:
     fails = []
     for q, sd, s, T in _cr_sweep():
-        v, b, k, t, c, complete = _shape(T)
+        P = compute_params(T)
+        c = T.partition.block_count
         tag = T.provenance.tag
-        if (v, b, k, t) != (q, q, q - 1, sd // s):
+        if (P.v, P.b, P.k, P.t) != (q, q, q - 1, sd // s):
             fails.append(
-                f"{tag} measured (v,b,k,t)=({v},{b},{k},{t}), "
+                f"{tag} measured (v,b,k,t)=({P.v},{P.b},{P.k},{P.t}), "
                 f"wanted ({q},{q},{q - 1},{sd // s})"
             )
-        if c != q + 1 or not complete:
+        if c != q + 1 or P.b != c - 1:
             fails.append(f"{tag} quotient is not complete on {q + 1} blocks")
     return fails
 
@@ -198,9 +173,9 @@ def _criterion_3() -> list[str]:
     fails = []
     for tag, is_square, T in _tcr9_cases():
         if is_square:
-            v, b, k, t, c, complete = _shape(T)
-            if (k, t) != (8, 1) or not complete:
-                fails.append(f"{tag} measured (k,t)=({k},{t}), wanted (8,1)")
+            P = compute_params(T)
+            if (P.k, P.t) != (8, 1) or P.b != T.partition.block_count - 1:
+                fails.append(f"{tag} measured (k,t)=({P.k},{P.t}), wanted (8,1)")
         else:
             try:
                 build_triple(parse_tag(tag))
@@ -211,10 +186,10 @@ def _criterion_3() -> list[str]:
     if F.subfield_degree(F.element(3)) != 4:
         fails.append("shift index 3 over the 81-element field should close at 4")
     big = _triple("tcr81")
-    v, b, k, t, c, complete = _shape(big)
-    if big.graph.n != 6642 or t != 2 or not complete:
+    P = compute_params(big)
+    if big.graph.n != 6642 or P.t != 2 or P.b != big.partition.block_count - 1:
         fails.append(
-            f"{big.provenance.tag} gives n={big.graph.n}, t={t}; wanted n=6642, t=2"
+            f"{big.provenance.tag} gives n={big.graph.n}, t={P.t}; wanted n=6642, t=2"
         )
     return fails
 
@@ -238,8 +213,8 @@ def _criterion_4() -> list[str]:
         fails.append(f"pair_distinct_s5 valency {T.graph.valency()}, wanted 6")
     if len(connected_components(T.graph)) != 1:
         fails.append("pair_distinct_s5 is not connected")
-    _, _, _, _, c, complete = _shape(T)
-    if c != 5 or not complete:
+    c = T.partition.block_count
+    if c != 5 or P.b != c - 1:
         fails.append("pair_distinct_s5 quotient is not complete on 5 blocks")
     star = recognize_structure(star_transform(T).graph)
     if star != StructureTag("DisjointComplete", (5, 4)):
@@ -249,8 +224,8 @@ def _criterion_4() -> list[str]:
     P = compute_params(T)
     if (P.v, P.k, P.t) != (7, 3, 2):
         fails.append(f"flag_common_d3 (v,k,t)=({P.v},{P.k},{P.t}), wanted (7,3,2)")
-    _, _, _, _, c, complete = _shape(T)
-    if c != 8 or not complete:
+    c = T.partition.block_count
+    if c != 8 or P.b != c - 1:
         fails.append("flag_common_d3 quotient is not complete on 8 blocks")
     star = recognize_structure(star_transform(T).graph)
     if star != StructureTag("DisjointComplete", (14, 4)):
@@ -309,7 +284,7 @@ def _criterion_7() -> list[str]:
     }
     fails = []
     for name, t_want in wanted.items():
-        _, _, _, t, _, _ = _shape(_triple(name))
+        t = compute_params(_triple(name)).t
         if t != t_want:
             fails.append(f"{name} has cross valency {t}, wanted {t_want}")
     return fails
@@ -446,10 +421,14 @@ _CRITERIA: dict[int, Callable[[], list[str]]] = {
 
 
 def run_criterion(number: int) -> CriterionResult:
+    """Run one criterion; a SymquotError raised inside it is its failure."""
     if number not in _CRITERIA:
         raise ValueError(f"criterion number must be 1..9, got {number}")
     start = time.perf_counter()
-    fails = _CRITERIA[number]()
+    try:
+        fails = _CRITERIA[number]()
+    except SymquotError as exc:
+        fails = [f"raised {type(exc).__name__}: {exc}"]
     elapsed = time.perf_counter() - start
     budget = BUDGET_SECONDS[number]
     if elapsed > budget:

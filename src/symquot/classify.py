@@ -30,7 +30,7 @@ from .graphs import (
     Graph,
     Partition,
     StructureTag,
-    bipartite_between,
+    cross_counts,
     has_intra_block_edges,
     is_g_symmetric,
     quotient_graph,
@@ -187,35 +187,27 @@ def compute_params(T: Triple) -> TripleParams:
     v = P.uniform_block_size()
     if v is None:
         raise ClassificationError("blocks differ in size")
-    blocks = P.blocks
-    c = P.block_count
     quot = quotient_graph(g, P)
     try:
         b = quot.valency()
     except SymquotError as exc:
         raise ClassificationError(f"quotient is not regular: {exc}") from exc
     t = m = k = None
-    for i in range(c):
-        for j in range(i + 1, c):
-            if not quot.has_edge(i, j):
-                continue
-            cross = bipartite_between(g, blocks[i], blocks[j])
-            if len(cross) != 1:
-                raise ClassificationError(
-                    f"cross valency between blocks {i} and {j} is uneven: "
-                    f"{sorted(cross)}"
-                )
-            tij = next(iter(cross))
-            mask_j = P.block_mask(j)
-            mij = sum((g.adj[x] & mask_j).bit_count() for x in blocks[i])
-            kij = sum(1 for x in blocks[i] if g.adj[x] & mask_j)
-            if t is None:
-                t, m, k = tij, mij, kij
-            elif (tij, mij, kij) != (t, m, k):
-                raise ClassificationError(
-                    f"cross parameters vary: blocks {i},{j} give "
-                    f"(t, m, k) = ({tij}, {mij}, {kij}), not ({t}, {m}, {k})"
-                )
+    for i, j in quot.edges():
+        cross, mij, kij = cross_counts(g, P, i, j)
+        if len(cross) != 1:
+            raise ClassificationError(
+                f"cross valency between blocks {i} and {j} is uneven: "
+                f"{sorted(cross)}"
+            )
+        tij = next(iter(cross))
+        if t is None:
+            t, m, k = tij, mij, kij
+        elif (tij, mij, kij) != (t, m, k):
+            raise ClassificationError(
+                f"cross parameters vary: blocks {i},{j} give "
+                f"(t, m, k) = ({tij}, {mij}, {kij}), not ({t}, {m}, {k})"
+            )
     if t is None:
         raise ClassificationError("the quotient has no edges")
     if m != t * k or s % t:
@@ -228,14 +220,15 @@ def compute_params(T: Triple) -> TripleParams:
     return TripleParams(v=v, b=b, s=s, t=t, m=m, r=r, k=k, lam=lam, rho=rho)
 
 
-def corollary_case(P: TripleParams, DB: IncidenceStructure) -> str:
+def corollary_case(P: TripleParams) -> str:
     """Place measured parameters into the four-way case split.
 
     Precedence when descriptions overlap: the degenerate shapes win
     (k = 1 with a square quotient, then full support v = k), then
-    v < b, then the symmetric main case v = b with a proper design.
+    v < b, then the symmetric main case v = b with a proper design:
+    one without repeated blocks (rho = 1) whose points and pairs are
+    evenly covered (lambda measured).
     """
-    r_d, lam2, rho_d = _design_profile(DB)
     if P.k == 1 and P.v == P.b:
         if (P.t, P.m, P.r) != (1, 1, 1) or P.lam != 0:
             raise ClassificationError(
@@ -250,13 +243,7 @@ def corollary_case(P: TripleParams, DB: IncidenceStructure) -> str:
         return "c"
     if P.v < P.b:
         return "a"
-    if (
-        P.v == P.b
-        and 2 <= P.k < P.v
-        and rho_d == 1
-        and r_d is not None
-        and lam2 is not None
-    ):
+    if P.v == P.b and 2 <= P.k < P.v and P.rho == 1 and P.lam is not None:
         return "d"
     raise ClassificationError(
         f"no case fits v={P.v} b={P.b} k={P.k}; "
@@ -285,17 +272,20 @@ def _pair_labels(T: Triple) -> Optional[list[tuple[int, int]]]:
 
 def _edge_label_kind(g: Graph, labels: list[tuple[int, int]]) -> str:
     kinds: set[str] = set()
-    for x, y in g.edges():
+    for x, nb in enumerate(g.nbrs):
         i, j = labels[x]
-        i2, j2 = labels[y]
-        if j == j2 and i != i2:
-            kinds.add("same_second")
-        elif len({i, j, i2, j2}) == 4:
-            kinds.add("four_distinct")
-        else:
-            return "mixed"
-        if len(kinds) > 1:
-            return "mixed"
+        for y in nb:
+            if y < x:
+                continue  # each edge once, from its lower end
+            i2, j2 = labels[y]
+            if j == j2 and i != i2:
+                kinds.add("same_second")
+            elif i2 not in (i, j) and j2 not in (i, j):  # a label names two blocks
+                kinds.add("four_distinct")
+            else:
+                return "mixed"
+            if len(kinds) > 1:
+                return "mixed"
     return kinds.pop() if kinds else "empty"
 
 
@@ -492,8 +482,7 @@ def classify_triple(T: Triple) -> ClassificationVerdict:
     except ClassificationError:
         return ClassificationVerdict(report, None, None, None, structure)
     try:
-        DB = design_from_partition(T.graph, T.partition, 0)
-        case = corollary_case(P, DB)
+        case = corollary_case(P)
     except ClassificationError:
         return ClassificationVerdict(report, P, None, None, structure)
     label = None
@@ -552,37 +541,23 @@ def orbit_length_check(T: Triple) -> dict:
             "orbit length tables exist only for the three flag geometries"
         )
     x = P.blocks[0][0]
-    home = P.block_of[x]
-    stab = G.stabilizer([x])
-    seen = [False] * P.block_count
-    seen[home] = True
-    classes = []
-    for start in range(P.block_count):
-        if seen[start]:
-            continue
-        orb = [start]
-        seen[start] = True
-        qi = 0
-        while qi < len(orb):
-            rep = P.blocks[orb[qi]][0]
-            qi += 1
-            for g in stab.generators:
-                j = P.block_of[g(rep)]
-                if not seen[j]:
-                    seen[j] = True
-                    orb.append(j)
-        classes.append(orb)
+    home = frozenset({P.block_of[x]})
+    suborbits = G.suborbits(x)
+    # G_x moves blocks as it moves points, so the blocks one suborbit meets
+    # are one G_x-orbit of blocks; those off x's own block are the classes
+    classes = sorted(
+        {frozenset(P.block_of[y] for y in sub) for sub in suborbits} - {home},
+        key=len,
+    )
     if len(classes) != 2 or len(classes[0]) == len(classes[1]):
         raise ClassificationError(
             f"expected two block classes of distinct sizes around a flag, "
             f"found sizes {sorted(len(c) for c in classes)}"
         )
-    classes.sort(key=len)
-    suborbits = G.suborbits(x)
     report: dict = {"design": design}
     ok = True
-    for name, orb in (("incident", classes[0]), ("non_incident", classes[1])):
-        members = set(P.blocks[orb[0]])
+    for name, blocks in (("incident", classes[0]), ("non_incident", classes[1])):
+        members = set(P.blocks[min(blocks)])
         lengths = sorted(
             n for sub in suborbits if (n := len(members.intersection(sub)))
         )
@@ -590,7 +565,7 @@ def orbit_length_check(T: Triple) -> dict:
         match = lengths == want
         ok = ok and match
         report[name] = {
-            "block_class_size": len(orb),
+            "block_class_size": len(blocks),
             "orbit_lengths": lengths,
             "expected": want,
             "match": match,

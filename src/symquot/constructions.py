@@ -33,7 +33,7 @@ from .ffield import FieldElement, FiniteField
 from .graphs import (
     Graph,
     Partition,
-    bipartite_between,
+    cross_counts,
     orbital_graph,
     pair_index,
     quotient_graph,
@@ -166,16 +166,12 @@ def _assert_pair_params(
 ) -> None:
     """Measure cross support and cross valency on one adjacent block pair."""
     g, P = triple.graph, triple.partition
-    quot = quotient_graph(g, P)
-    pair = next(((i, j) for i, j in quot.edges()), None)
+    pair = next(iter(quotient_graph(g, P).edges()), None)
     if pair is None:
         raise ConstructionError(f"{what}: no adjacent blocks to verify against")
-    i, j = pair
-    tvals = bipartite_between(g, P.blocks[i], P.blocks[j])
+    tvals, _, support = cross_counts(g, P, *pair)
     if tvals != {t}:
         raise ConstructionError(f"{what}: cross valencies {tvals}, expected {{{t}}}")
-    mask_j = P.block_mask(j)
-    support = sum(1 for x in P.blocks[i] if g.adj[x] & mask_j)
     if support != k:
         raise ConstructionError(f"{what}: cross support {support}, expected {k}")
 
@@ -204,18 +200,7 @@ def cross_ratio_graph(q: int, d: FieldElement | int, s: int) -> Triple:
         raise ConstructionError(
             f"s={s} must divide s(d)={sd} for d of index {el.index}"
         )
-    G = pgammal_subgroup(q, s)
-    big = pair_action(G)
-    m = q + 1
-    x = pair_index(m, 0, 1)  # (inf, 0)
-    y = pair_index(m, 2, 1 + el.index)  # (1, d)
-    graph = orbital_graph(big, x, y)
-    prov = Provenance(
-        "cr", (("q", str(q)), ("d", str(el.index)), ("s", str(s)))
-    )
-    triple = Triple(graph, big, pair_partition(m), prov)
-    _assert_pair_params(triple, q - 1, sd // s, prov.tag)
-    return triple
+    return _cross_ratio_triple("cr", pgammal_subgroup(q, s), el, s, sd)
 
 
 def twisted_cross_ratio_graph(q: int, d: FieldElement | int, s: int) -> Triple:
@@ -236,15 +221,21 @@ def twisted_cross_ratio_graph(q: int, d: FieldElement | int, s: int) -> Triple:
         raise ConstructionError("both s and s(d) must be even")
     if s < 2 or sd % s:
         raise ConstructionError(f"s={s} must divide s(d)={sd}")
-    G = m_group(s // 2, q)
+    return _cross_ratio_triple("tcr", m_group(s // 2, q), el, s, sd)
+
+
+def _cross_ratio_triple(
+    kind: str, G: PermutationGroup, el: FieldElement, s: int, sd: int
+) -> Triple:
+    """The orbital graph of the base pair (inf 0, 1 d) under G acting on
+    the pairs of the projective line, checked for k = q - 1, t = s(d)/s."""
+    q = el.field.order
     big = pair_action(G)
     m = q + 1
-    x = pair_index(m, 0, 1)
-    y = pair_index(m, 2, 1 + el.index)
+    x = pair_index(m, 0, 1)  # (inf, 0)
+    y = pair_index(m, 2, 1 + el.index)  # (1, d)
     graph = orbital_graph(big, x, y)
-    prov = Provenance(
-        "tcr", (("q", str(q)), ("d", str(el.index)), ("s", str(s)))
-    )
+    prov = Provenance(kind, (("q", str(q)), ("d", str(el.index)), ("s", str(s))))
     triple = Triple(graph, big, pair_partition(m), prov)
     _assert_pair_params(triple, q - 1, sd // s, prov.tag)
     return triple
@@ -501,7 +492,7 @@ def star_transform(T: Triple) -> Triple:
 
     prov = Provenance("star", (), T.provenance)
     out = Triple(star, T.group, P, prov)
-    tvals = bipartite_between(g, P.blocks[i], P.blocks[j])
+    tvals = cross_counts(g, P, i, j)[0]
     if len(tvals) == 1:
         t = tvals.pop()
         _assert_pair_params(out, k, k - t, prov.tag)

@@ -350,26 +350,18 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def bipartite_between(g: Graph, A: Iterable[int], B: Iterable[int]) -> set[int]:
-    """Distinct nonzero cross-valencies between the two vertex sets."""
-    mask_a = 0
-    for x in A:
-        mask_a |= 1 << x
-    mask_b = 0
-    for x in B:
-        mask_b |= 1 << x
-    if mask_a & mask_b:
-        raise GraphError("vertex sets overlap")
-    out = set()
-    for x in _bits(mask_a):
-        d = (g.adj[x] & mask_b).bit_count()
-        if d:
-            out.add(d)
-    for x in _bits(mask_b):
-        d = (g.adj[x] & mask_a).bit_count()
-        if d:
-            out.add(d)
-    return out
+def cross_counts(g: Graph, P: Partition, i: int, j: int) -> tuple[set[int], int, int]:
+    """The bipartite graph between blocks i and j: its distinct nonzero
+    valencies on either side, its edge count, and its support in block i
+    (the vertices of block i with a neighbour in block j)."""
+    if i == j:
+        raise GraphError(f"block {i} is paired with itself")
+    mask_i, mask_j = P.block_mask(i), P.block_mask(j)
+    out = [(g.adj[x] & mask_j).bit_count() for x in P.blocks[i]]
+    back = [(g.adj[x] & mask_i).bit_count() for x in P.blocks[j]]
+    valencies = set(out).union(back)
+    valencies.discard(0)
+    return valencies, sum(out), len(out) - out.count(0)
 
 
 # ---------------------------------------------------------------------------

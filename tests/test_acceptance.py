@@ -6,7 +6,9 @@ checklist; the assertion carries the failure detail.
 
 import pytest
 
+from symquot import acceptance
 from symquot.acceptance import BUDGET_SECONDS, TITLES, run_criterion
+from symquot.errors import ClassificationError
 
 
 @pytest.mark.parametrize("number", sorted(BUDGET_SECONDS))
@@ -24,3 +26,15 @@ def test_criterion(number, capsys):
 def test_unknown_criterion_rejected():
     with pytest.raises(ValueError, match="1..9"):
         run_criterion(0)
+
+
+def test_raising_criterion_fails(monkeypatch):
+    def uneven():
+        raise ClassificationError("cross valency between blocks 0 and 1 is uneven")
+
+    monkeypatch.setitem(acceptance._CRITERIA, 7, uneven)
+    result = run_criterion(7)
+    assert not result.passed
+    assert result.detail == (
+        "raised ClassificationError: cross valency between blocks 0 and 1 is uneven"
+    )

@@ -43,7 +43,7 @@ from symquot.constructions import (
     star_transform,
     twisted_cross_ratio_graph,
 )
-from symquot.designs import IncidenceStructure, ag_design, design_3_12_6_2
+from symquot.designs import ag_design, design_3_12_6_2
 from symquot.errors import ClassificationError
 from symquot.graphs import Graph, Partition, StructureTag
 from symquot.groups_catalog import agl, mathieu, sym_alt
@@ -274,22 +274,19 @@ class TestCorollaryCase:
         assert (V.params.v, V.params.b, V.params.s, V.params.t) == (7, 7, 6, 1)
 
     def test_forged_case_b_inconsistency(self):
-        db = IncidenceStructure(3, [(0,), (1,), (2,)])
         forged = TripleParams(v=3, b=3, s=2, t=2, m=2, r=1, k=1, lam=0, rho=1)
         with pytest.raises(ClassificationError):
-            corollary_case(forged, db)
+            corollary_case(forged)
 
     def test_forged_case_c_inconsistency(self):
-        db = IncidenceStructure(2, [(0, 1), (0, 1), (0, 1)])
         forged = TripleParams(v=2, b=4, s=3, t=1, m=2, r=3, k=2, lam=3, rho=2)
         with pytest.raises(ClassificationError):
-            corollary_case(forged, db)
+            corollary_case(forged)
 
     def test_no_case_fits(self):
-        db = IncidenceStructure(4, [(0, 1), (2, 3)])
         forged = TripleParams(v=4, b=2, s=4, t=1, m=8, r=4, k=2, lam=None, rho=1)
         with pytest.raises(ClassificationError, match="no case"):
-            corollary_case(forged, db)
+            corollary_case(forged)
 
     @given(
         v=st.integers(min_value=1, max_value=30),
@@ -300,12 +297,11 @@ class TestCorollaryCase:
     )
     @settings(max_examples=80, deadline=None)
     def test_total_on_arbitrary_params(self, v, b, k, t, r):
-        db = IncidenceStructure(2, [(0, 1), (0, 1)])
         forged = TripleParams(
             v=v, b=b, s=t * r, t=t, m=t * k, r=r, k=k, lam=0, rho=2
         )
         try:
-            case = corollary_case(forged, db)
+            case = corollary_case(forged)
         except ClassificationError:
             return
         assert case in ("a", "b", "c", "d")
@@ -479,6 +475,26 @@ class TestMatcherInternals:
         assert _edge_label_kind(T.graph, labels) == "same_second"
         for x, y in T.graph.edges():
             assert labels[x][1] == labels[y][1]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_edge_label_kind_against_edge_list(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        edges = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        g = Graph.from_edges(n, [(x, y) for x, y in edges if x != y])
+        pair = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda p: p[0] != p[1])
+        labels = data.draw(st.lists(pair, min_size=n, max_size=n))
+        kinds = set()
+        for x, y in g.edges():
+            (i, j), (i2, j2) = labels[x], labels[y]
+            if j == j2 and i != i2:
+                kinds.add("same_second")
+            elif len({i, j, i2, j2}) == 4:
+                kinds.add("four_distinct")
+            else:
+                kinds.add("mixed")
+        want = "mixed" if len(kinds) > 1 else kinds.pop() if kinds else "empty"
+        assert _edge_label_kind(g, labels) == want
 
 
 class TestOrbitLengths:

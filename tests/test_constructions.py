@@ -36,7 +36,6 @@ from symquot.designs import (
 from symquot.errors import ConstructionError, NotSelfPairedError, SymquotError
 from symquot.ffield import field
 from symquot.graphs import (
-    bipartite_between,
     connected_components,
     is_isomorphic,
     pair_index,
@@ -53,12 +52,13 @@ def measure(triple):
     g, P = triple.graph, triple.partition
     quot = quotient_graph(g, P)
     i, j = quot.edges()[0]
-    tset = bipartite_between(g, P.blocks[i], P.blocks[j])
+    A, B = P.blocks[i], P.blocks[j]
+    out = [sum(g.has_edge(x, y) for y in B) for x in A]
+    back = [sum(g.has_edge(y, x) for x in A) for y in B]
+    tset = {d for d in out + back if d}
     assert len(tset) == 1, f"uneven cross valencies {tset}"
-    t = tset.pop()
-    mask = P.block_mask(j)
-    k = sum(1 for x in P.blocks[i] if g.adj[x] & mask)
-    return len(P.blocks[i]), quot.valency(), k, t
+    k = sum(1 for d in out if d)
+    return len(A), quot.valency(), k, tset.pop()
 
 
 class TestProvenance:

@@ -15,10 +15,10 @@ from symquot.graphs import (
     Graph,
     Partition,
     _bits,
-    bipartite_between,
     complete_graph,
     complete_multipartite_graph,
     connected_components,
+    cross_counts,
     cycle_graph,
     disjoint_complete,
     disjoint_complete_bipartite,
@@ -197,20 +197,23 @@ class TestComponents:
 
 
 class TestBipartiteBetween:
+    """The bipartite graph between two blocks, as cross_counts measures it."""
+
     def test_biclique(self):
         g = complete_multipartite_graph([3, 3])
-        assert bipartite_between(g, [0, 1, 2], [3, 4, 5]) == {3}
+        assert cross_counts(g, Partition([(0, 1, 2), (3, 4, 5)]), 0, 1) == ({3}, 9, 3)
 
     def test_no_cross_edges(self):
-        assert bipartite_between(Graph(4, [0] * 4), [0, 1], [2, 3]) == set()
+        P = Partition([(0, 1), (2, 3)])
+        assert cross_counts(Graph(4, [0] * 4), P, 0, 1) == (set(), 0, 0)
 
     def test_mixed_valencies(self):
         g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2)])
-        assert bipartite_between(g, [0, 1], [2, 3]) == {1, 2}
+        assert cross_counts(g, Partition([(0, 1), (2, 3)]), 0, 1) == ({1, 2}, 3, 2)
 
     def test_overlap_rejected(self):
         with pytest.raises(GraphError):
-            bipartite_between(complete_graph(3), [0, 1], [1, 2])
+            cross_counts(complete_graph(3), Partition([(0, 1), (2,)]), 1, 1)
 
 
 class TestRecognition:
@@ -434,6 +437,29 @@ def test_components_partition_vertices(g):
     comps = connected_components(g)
     seen = sorted(v for comp in comps for v in comp)
     assert seen == list(range(g.n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graphs(), st.data())
+def test_cross_counts_against_edge_count(g, data):
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    names = sorted(set(labels))
+    P = Partition([[x for x in range(g.n) if labels[x] == a] for a in names])
+    i = data.draw(st.integers(0, len(names) - 1))
+    j = data.draw(st.integers(0, len(names) - 1))
+    if i == j:
+        with pytest.raises(GraphError):
+            cross_counts(g, P, i, j)
+        return
+    A, B = P.blocks[i], P.blocks[j]
+    out = [sum(g.has_edge(x, y) for y in B) for x in A]
+    back = [sum(g.has_edge(x, y) for x in A) for y in B]
+    edges = sum(1 for u, v in g.edges() if (u in A and v in B) or (u in B and v in A))
+    assert cross_counts(g, P, i, j) == (
+        {d for d in out + back if d},
+        edges,
+        sum(1 for d in out if d),
+    )
 
 
 # ---------------------------------------------------------------------------
