@@ -488,28 +488,37 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 def is_g_symmetric(g: Graph, G: PermutationGroup) -> bool:
     """True when the group preserves adjacency and is transitive on both
-    vertices and ordered adjacent pairs."""
+    vertices and ordered adjacent pairs.  For transitive G that holds
+    exactly when each N(u) is the image of N(u0) along a Schreier tree and
+    N(u0) is one G_u0-orbit (Biggs): then g maps N(u) = t_u N(u0) onto
+    N(g u), as t_(g u)^-1 g t_u fixes u0."""
     if G.degree != g.n:
         raise GraphError("group degree does not match the graph")
-    nbrs = g.nbrs
-    gen_images = [p.images for p in G.generators]
-    for im in gen_images:
-        for u, nb in enumerate(nbrs):
-            if tuple(sorted(map(im.__getitem__, nb))) != nbrs[im[u]]:
-                return False
     if not G.is_transitive():
         return False
-    # G is vertex-transitive and preserves adjacency, so it is transitive
-    # on arcs exactly when G_u is transitive on N(u)
+    nbrs = g.nbrs
     u0 = next((u for u, nb in enumerate(nbrs) if nb), None)
-    return u0 is None or len(G.suborbit(u0, nbrs[u0][0])) == len(nbrs[u0])
+    if u0 is None:
+        return True
+    gen_images = [p.images for p in G.generators]
+    reached = [False] * g.n
+    reached[u0] = True
+    queue = [u0]
+    # one sort per vertex; a graph G does not preserve exits here, before
+    # the suborbit search (a pair BFS over the domain for plain groups)
+    for u in queue:
+        for im in gen_images:
+            w = im[u]
+            if not reached[w]:
+                if nbrs[w] != tuple(sorted(map(im.__getitem__, nbrs[u]))):
+                    return False
+                reached[w] = True
+                queue.append(w)
+    return tuple(G.suborbit(u0, nbrs[u0][0])) == nbrs[u0]
 
 
 # ---------------------------------------------------------------------------
 # Serialization.
-
-_G6_CHUNK = {format(v, "06b"): chr(v + 63) for v in range(64)}
-
 
 def graph_to_graph6(g: Graph) -> str:
     n = g.n
@@ -526,7 +535,13 @@ def graph_to_graph6(g: Graph) -> str:
         format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)
     )
     bits += "0" * (-len(bits) % 6)
-    return head + "".join(_G6_CHUNK[bits[k : k + 6]] for k in range(0, len(bits), 6))
+    # below a leading 1 bit, each 6-bit group is two octal digits hi, lo
+    # (ASCII 48 + digit); its byte 8 hi + lo + 63 <= 126 never carries
+    octal = format(1 << len(bits) | int(bits or "0", 2), "o")[1:].encode()
+    size = len(octal) // 2
+    body = 8 * int.from_bytes(octal[::2], "big") + int.from_bytes(octal[1::2], "big")
+    body -= (9 * ord("0") - 63) * int.from_bytes(b"\1" * size, "big")
+    return head + body.to_bytes(size, "big").decode("ascii")
 
 
 def graph_from_graph6(text: str) -> Graph:

@@ -143,7 +143,8 @@ def pgl2(q: int) -> PermutationGroup:
     ]
     G = PermutationGroup(q + 1, [m.permutation() for m in gens])
     _validated(G, q + 1, (q + 1) * q * (q - 1), _pgl_like_trans(q, False), f"pgl2({q})")
-    if G.stabilizer([0, 1, 2]).order() != 1:
+    # 3-transitive: every three-point stabilizer is conjugate to the base's
+    if G.order() != math.prod(len(lvl.orbit) for lvl in G.chain.levels[:3]):
         raise CatalogError(f"pgl2({q}): three-point stabilizer is not trivial")
     return G
 

@@ -3,7 +3,8 @@
 Everything is exact and deterministic: no randomized sifting, no hash-order
 dependence.  Base points are chosen as least moved points (or prescribed by
 the caller for stabilizer computations), so identical input
-always produces the identical chain.
+always produces the identical chain.  Its basic orbits answer
+k-transitivity for any base: no chain per point prefix.
 
 Internally a chain element is a pair (main, aux) of image tuples.  The aux
 coordinate is empty for ordinary groups; induced_action uses it to drag
@@ -397,19 +398,16 @@ class PermutationGroup:
         return PermutationGroup(self.degree, gens)
 
     def transitivity_degree(self) -> int:
-        """Largest k with the iterated point stabilizers transitive on what
-        remains at each of the first k levels (0 for an intransitive group)."""
-        fixed: list[int] = []
-        G = self
-        while len(fixed) < self.degree:
-            rest = [x for x in range(self.degree) if x not in fixed]
-            if len(G.orbit(rest[0])) != len(rest):
-                break
-            fixed.append(rest[0])
-            if len(fixed) == self.degree:
-                break
-            G = self.stabilizer(fixed)
-        return len(fixed)
+        """Largest k such that G is k-transitive (0 for an intransitive
+        group), read off the cached chain: for any base, the stabilizer of
+        the first i base points is transitive on the other m - i points
+        exactly when the basic orbit at level i has m - i points.  Past the
+        last level the stabilizer is trivial, transitive on one point."""
+        levels = self.chain.levels
+        k = 0
+        while k < len(levels) and len(levels[k].orbit) == self.degree - k:
+            k += 1
+        return k + 1 if k == len(levels) and self.degree - k == 1 else k
 
     def _check_blocks(self, blocks: Sequence[Sequence[int]]) -> list[list[int]]:
         cover = [-1] * self.degree

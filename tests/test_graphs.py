@@ -651,6 +651,25 @@ def _dihedral(n):
         (Graph(1, [0]), PermutationGroup(1, []), True),
         (cycle_graph(6), _dihedral(6), True),
         (cycle_graph(6), PermutationGroup(6, _dihedral(6).generators[:1]), False),
+        # two triangles: the Schreier tree from 0 uses only the 6-cycle
+        # (0 3 4 5 1 2), which preserves them, never (0 3 4)(1 2 5), which
+        # does not; G_0 moves 1 onto 3, so the suborbit {1, 3} has the size
+        # of N(0) = {1, 4} but not its points
+        (
+            Graph.from_edges(6, [(0, 1), (1, 4), (4, 0), (2, 3), (3, 5), (5, 2)]),
+            PermutationGroup(6, [Permutation([3, 2, 0, 4, 5, 1]), Permutation([3, 2, 5, 4, 0, 1])]),
+            False,
+        ),
+        # K_{3,3} as the hexagon plus its long diagonals: D6 preserves it,
+        # but N(0) is the two suborbits {1, 5} and {3}
+        (
+            Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4), (2, 5)]),
+            _dihedral(6),
+            False,
+        ),
+        # the hexagon missing edge {2, 3}: N(0) is still a G_0-orbit, and
+        # only the tree walk reaches the break
+        (Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 0)]), _dihedral(6), False),
     ],
     ids=[
         "breaks_adjacency",
@@ -662,6 +681,9 @@ def _dihedral(n):
         "single_vertex",
         "dihedral_cycle",
         "rotations_only",
+        "tree_images_match_but_not_invariant",
+        "neighbourhood_is_two_suborbits",
+        "break_away_from_u0",
     ],
 )
 def test_is_g_symmetric_cases(g, G, want):

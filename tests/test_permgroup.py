@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symquot import permgroup
 from symquot.errors import GroupError
 from symquot.permgroup import Permutation, PermutationGroup
 
@@ -272,6 +273,64 @@ def test_suborbit_and_translates_agree_with_closure(case):
             orbit = {(g[x], g[y]) for g in cl}
             assert {(u, v) for u, nb in enumerate(N) for v in nb or ()} == orbit
             assert all((nb is None) == (not any(g[x] == u for g in cl)) for u, nb in enumerate(N))
+
+
+def transitivity_by_prefixes(G):
+    """The per-prefix definition: fix 0, 1, ... one at a time, with a fresh
+    stabilizer chain each, while the stabilizer is transitive on the rest."""
+    fixed = []
+    H = G
+    while len(fixed) < G.degree:
+        rest = [x for x in range(G.degree) if x not in fixed]
+        if len(H.orbit(rest[0])) != len(rest):
+            break
+        fixed.append(rest[0])
+        if len(fixed) == G.degree:
+            break
+        H = G.stabilizer(fixed)
+    return len(fixed)
+
+
+@st.composite
+def groups_of_small_degree(draw):
+    """Degree 1..8: trivial, symmetric, alternating, random generators on
+    the whole domain, or random generators on a proper part of it."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    kind = draw(st.sampled_from(["trivial", "sym", "alt", "random", "intransitive"]))
+    if kind == "trivial":
+        gens = []
+    elif kind == "sym":
+        gens = [P(n, [(0, 1)]), P(n, [tuple(range(n))])] if n > 1 else []
+    elif kind == "alt":
+        gens = [P(n, [(0, 1, i)]) for i in range(2, n)]
+    else:
+        size = n if kind == "random" else draw(st.integers(min_value=0, max_value=n - 1))
+        gens = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            images = draw(st.permutations(list(range(size)))) + list(range(size, n))
+            gens.append(Permutation(images))
+    return PermutationGroup(n, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups_of_small_degree())
+def test_transitivity_degree_matches_prefix_stabilizers(G):
+    assert G.transitivity_degree() == transitivity_by_prefixes(G)
+
+
+def test_transitivity_degree_reads_the_cached_chain(monkeypatch):
+    G = PermutationGroup(6, [P(6, [(0, 1)]), P(6, [tuple(range(6))])])
+    G.order()
+    built = []
+
+    class Spy(permgroup._Chain):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "_Chain", Spy)
+    assert G.transitivity_degree() == 6
+    assert built == []
 
 
 def test_suborbit_rejects_points_out_of_range():
