@@ -20,7 +20,7 @@ parses back to the same triple.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .designs import (
     IncidenceStructure,
@@ -33,6 +33,7 @@ from .ffield import FieldElement, FiniteField
 from .graphs import (
     Graph,
     Partition,
+    _rows,
     cross_counts,
     orbital_graph,
     pair_index,
@@ -244,18 +245,6 @@ def _cross_ratio_triple(
 # ---------------------------------------------------------------------------
 # Pair-labeled graphs.
 
-def _design_foursets(D: IncidenceStructure) -> set[frozenset[int]]:
-    out: set[frozenset[int]] = set()
-    for blk in D.blocks:
-        n = len(blk)
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    for e in range(c + 1, n):
-                        out.add(frozenset((blk[a], blk[b], blk[c], blk[e])))
-    return out
-
-
 def pair_graph(
     G: PermutationGroup,
     rule: PairRule,
@@ -271,7 +260,6 @@ def pair_graph(
     if not G.is_transitive():
         raise ConstructionError("group must be transitive")
 
-    fourset: set[frozenset[int]] | None = None
     if rule.tag in ("affine_plane", "affine_non_plane"):
         if m < 4 or m & (m - 1):
             raise ConstructionError(
@@ -288,39 +276,47 @@ def pair_graph(
         p = D.params()
         if p.max_t < 3 or p.lambda_t(3) < 1:
             raise ConstructionError("design must cover every point triple")
-        fourset = _design_foursets(D)
     elif rule.tag not in ("same_second", "all_distinct"):
         raise ConstructionError(f"unknown pair rule {rule.tag!r}")
     elif rule.design is not None:
         raise ConstructionError(f"pair rule {rule.tag} takes no design")
 
-    def adjacent(i: int, j: int, i2: int, j2: int) -> bool:
-        if rule.tag == "same_second":
-            return j == j2 and i != i2
-        distinct = len({i, j, i2, j2}) == 4
-        if rule.tag == "all_distinct":
-            return distinct
-        if rule.tag == "affine_plane":
-            return distinct and i ^ j ^ i2 ^ j2 == 0
-        if rule.tag == "affine_non_plane":
-            return distinct and i ^ j ^ i2 ^ j2 != 0
-        if not distinct:
-            return False
-        inside = frozenset((i, j, i2, j2)) in fourset
-        return inside if rule.tag == "design_in" else not inside
-
-    npairs = m * (m - 1)
-    def edges() -> Iterator[tuple[int, int]]:
-        for a in range(npairs):
-            i, j = divmod(a, m - 1)
-            j = j + 1 if j >= i else j
-            for b in range(a + 1, npairs):
-                i2, j2 = divmod(b, m - 1)
-                j2 = j2 + 1 if j2 >= i2 else j2
-                if adjacent(i, j, i2, j2):
-                    yield a, b
-
-    graph = Graph.from_edges(npairs, edges())
+    # each vertex's neighbours straight from the rule, in pair_index order,
+    # as entries of ``at``: one int object per vertex, shared by every tuple
+    at = [[pair_index(m, i, j) if j != i else None for j in range(m)] for i in range(m)]
+    if rule.design is not None:
+        through = [[blk for blk in rule.design.blocks if p in blk] for p in range(m)]
+    nbrs = []
+    for i in range(m):
+        for j in range(m):
+            if j == i:
+                continue
+            others = [a for a in range(m) if a != i and a != j]
+            if rule.design is not None:
+                # the pairs of other points on the blocks through i and j;
+                # a set, since two blocks may share four points
+                inside = {
+                    at[a][b] for blk in through[i] if j in blk
+                    for a in blk if a != i and a != j
+                    for b in blk if b != a and b != i and b != j
+                }
+            if rule.tag == "same_second":
+                nb = [at[a][j] for a in others]
+            elif rule.tag == "affine_plane":
+                nb = [at[a][i ^ j ^ a] for a in others]
+            elif rule.tag == "design_in":
+                nb = sorted(inside)
+            else:  # pairs avoiding i and j, less affine_plane's or design_in's
+                if rule.tag == "affine_non_plane":
+                    drop = {at[a][i ^ j ^ a] for a in others}
+                else:
+                    drop = inside if rule.tag == "design_out" else set()
+                nb = [
+                    at[a][b] for a in others for b in others
+                    if b != a and at[a][b] not in drop
+                ]
+            nbrs.append(tuple(nb))
+    graph = Graph(len(nbrs), _rows(len(nbrs), nbrs), nbrs)
     params = []
     if group_label:
         params.append(("group", group_label))
@@ -350,17 +346,20 @@ def flag_graph(
         raise ConstructionError("group does not preserve the design")
 
     block_sets = [frozenset(b) for b in D.blocks]
+    # per block B, the blocks B2 whose flags (p2, B2) with p not on B2 and
+    # p2 off B are the neighbours of a flag (p, B), for every rule but
+    # same_block and common_two_points
+    partners: list[list[int]] = []
     if rule.tag == "opposite_non_complement":
         full = frozenset(range(D.v))
-        complement_of = {}
         lookup = {fs: i for i, fs in enumerate(block_sets)}
-        for i, fs in enumerate(block_sets):
+        for fs in block_sets:
             other = lookup.get(full - fs)
             if other is None:
                 raise ConstructionError(
                     "rule needs a complement-closed block set"
                 )
-            complement_of[i] = other
+            partners.append([c for c in range(D.b) if c != other])
     elif rule.tag in ("m22_disjoint", "m22_meet_two"):
         p = D.params()
         if (D.v, D.b, p.k) != (22, 77, 6) or p.lambda_t(3) != 1:
@@ -371,6 +370,12 @@ def flag_graph(
         "same_block", "disjoint_blocks", "common_two_points"
     ):
         raise ConstructionError(f"unknown flag rule {rule.tag!r}")
+    if rule.tag in ("disjoint_blocks", "m22_disjoint", "m22_meet_two"):
+        meet = 2 if rule.tag == "m22_meet_two" else 0
+        partners = [
+            [c for c, fs2 in enumerate(block_sets) if len(fs & fs2) == meet]
+            for fs in block_sets
+        ]
 
     flag_list = [
         (p, bi)
@@ -380,33 +385,28 @@ def flag_graph(
     ]
     flag_of = {f: i for i, f in enumerate(flag_list)}
 
-    def adjacent(p: int, bi: int, p2: int, bi2: int) -> bool:
-        if p == p2:
-            return False
-        b1, b2 = block_sets[bi], block_sets[bi2]
+    # each flag's neighbours straight from the rule, as values of
+    # ``flag_of``: one int object per vertex, shared by every tuple
+    on_block = [[(p, flag_of[p, c]) for p in blk] for c, blk in enumerate(D.blocks)]
+    through = [[c for c, fs in enumerate(block_sets) if p in fs] for p in range(D.v)]
+    nbrs = []
+    for p, bi in flag_list:
+        B = block_sets[bi]
         if rule.tag == "same_block":
-            return bi == bi2
-        if rule.tag == "disjoint_blocks":
-            return not b1 & b2
-        if rule.tag == "common_two_points":
-            return bi != bi2 and p in b2 and p2 in b1
-        if p in b2 or p2 in b1:
-            return False
-        if rule.tag == "opposite_non_complement":
-            return bi2 != complement_of[bi]
-        meet = len(b1 & b2)
-        return meet == 0 if rule.tag == "m22_disjoint" else meet == 2
-
+            nb = [f for p2, f in on_block[bi] if p2 != p]
+        elif rule.tag == "common_two_points":
+            nb = sorted(
+                f for c in through[p] if c != bi
+                for p2, f in on_block[c] if p2 != p and p2 in B
+            )
+        else:
+            nb = sorted(
+                f for c in partners[bi] if p not in block_sets[c]
+                for p2, f in on_block[c] if p2 not in B
+            )
+        nbrs.append(tuple(nb))
     nf = len(flag_list)
-    def edges() -> Iterator[tuple[int, int]]:
-        for a in range(nf):
-            p, bi = flag_list[a]
-            for b in range(a + 1, nf):
-                p2, bi2 = flag_list[b]
-                if adjacent(p, bi, p2, bi2):
-                    yield a, b
-
-    graph = Graph.from_edges(nf, edges())
+    graph = Graph(nf, _rows(nf, nbrs), nbrs)
 
     block_index = {blk: i for i, blk in enumerate(D.blocks)}
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from symquot.constructions import (
     PairRule,
     Provenance,
     Triple,
+    build_triple,
     cross_ratio_graph,
     design_in,
     design_out,
@@ -24,6 +27,7 @@ from symquot.constructions import (
     pair_action,
     pair_graph,
     pair_partition,
+    parse_tag,
     star_transform,
     twisted_cross_ratio_graph,
 )
@@ -38,6 +42,7 @@ from symquot.ffield import field
 from symquot.graphs import (
     connected_components,
     is_isomorphic,
+    pair_from_index,
     pair_index,
     quotient_graph,
     recognize_structure,
@@ -457,6 +462,154 @@ class TestFlagRules:
 
         with pytest.raises(ConstructionError):
             flag_graph(AG3, agl(3, 2), FlagRule("sideways"))
+
+
+# ---------------------------------------------------------------------------
+# Neighbourhoods against the all-pairs rules they enumerate: the builders
+# list each vertex's neighbours from its rule, and these closures test every
+# vertex pair against the rule as the paper states it.
+
+REFERENCE_DESIGNS = {
+    "h12": design_3_12_6_2,
+    "ag_d3": lambda: ag_design(3, 2),
+    "ag_d4": lambda: ag_design(4, 3),
+    "s22": steiner_3_22_6,
+}
+
+
+def _design_foursets(D):
+    out = set()
+    for blk in D.blocks:
+        n = len(blk)
+        for a in range(n):
+            for b in range(a + 1, n):
+                for c in range(b + 1, n):
+                    for e in range(c + 1, n):
+                        out.add(frozenset((blk[a], blk[b], blk[c], blk[e])))
+    return out
+
+
+def _pair_adjacency(rule, D):
+    fourset = _design_foursets(D) if D is not None else None
+
+    def adjacent(i, j, i2, j2):
+        if rule == "same_second":
+            return j == j2 and i != i2
+        distinct = len({i, j, i2, j2}) == 4
+        if rule == "all_distinct":
+            return distinct
+        if rule == "affine_plane":
+            return distinct and i ^ j ^ i2 ^ j2 == 0
+        if rule == "affine_non_plane":
+            return distinct and i ^ j ^ i2 ^ j2 != 0
+        if not distinct:
+            return False
+        inside = frozenset((i, j, i2, j2)) in fourset
+        return inside if rule == "design_in" else not inside
+
+    return adjacent
+
+
+def _flag_adjacency(rule, D):
+    block_sets = [frozenset(b) for b in D.blocks]
+    full = frozenset(range(D.v))
+    complement_of = {
+        i: next((c for c, fs2 in enumerate(block_sets) if fs2 == full - fs), None)
+        for i, fs in enumerate(block_sets)
+    }
+
+    def adjacent(p, bi, p2, bi2):
+        if p == p2:
+            return False
+        b1, b2 = block_sets[bi], block_sets[bi2]
+        if rule == "same_block":
+            return bi == bi2
+        if rule == "disjoint_blocks":
+            return not b1 & b2
+        if rule == "common_two_points":
+            return bi != bi2 and p in b2 and p2 in b1
+        if p in b2 or p2 in b1:
+            return False
+        if rule == "opposite_non_complement":
+            return bi2 != complement_of[bi]
+        meet = len(b1 & b2)
+        return meet == 0 if rule == "m22_disjoint" else meet == 2
+
+    return adjacent
+
+
+def _reference_nbrs(tag, n):
+    """Neighbour tuples of the tag's n-vertex graph, from testing every
+    vertex pair against the rule."""
+    fields = dict(parse_tag(tag).params)
+    D = REFERENCE_DESIGNS[fields["design"]]() if "design" in fields else None
+    if tag.startswith("pair:"):
+        m = math.isqrt(n) + 1  # n = m(m - 1)
+        labels = [pair_from_index(m, z) for z in range(m * (m - 1))]
+        adjacent = _pair_adjacency(fields["rule"], D)
+    else:
+        labels = [
+            (p, bi) for p in range(D.v) for bi, blk in enumerate(D.blocks) if p in blk
+        ]
+        adjacent = _flag_adjacency(fields["rule"], D)
+    return tuple(
+        tuple(b for b, y in enumerate(labels) if b != a and adjacent(*x, *y))
+        for a, x in enumerate(labels)
+    )
+
+
+REFERENCE_TAGS = [
+    *(
+        f"pair:group={g}:rule={r}"
+        for g in ("s5", "s6", "a6", "agl_d3", "agl_d4", "z24_a7")
+        for r in ("same_second", "all_distinct")
+    ),
+    *(
+        f"pair:group={g}:rule={r}"
+        for g in ("agl_d3", "agl_d4", "z24_a7")
+        for r in ("affine_plane", "affine_non_plane")
+    ),
+    # ag_d4's blocks meet in four points, so two blocks share a four-set
+    *(
+        f"pair:group={g}:design={d}:rule={r}"
+        for g, d in (("m11_12", "h12"), ("agl_d4", "ag_d4"))
+        for r in ("design_in", "design_out")
+    ),
+    *(
+        f"flag:design={d}:group={g}:rule={r}"
+        for d, g in (("ag_d3", "agl_d3"), ("ag_d4", "agl_d4"), ("h12", "m11_12"))
+        for r in (
+            "same_block", "disjoint_blocks", "common_two_points", "opposite_non_complement"
+        )
+    ),
+    "flag:design=s22:group=m22:rule=m22_disjoint",
+    "flag:design=s22:group=m22:rule=m22_meet_two",
+    # S8 does not preserve the affine rule, so no neighbourhood may be
+    # carried around by the group; agl_d4 with ag_d4 design_in, above,
+    # is not arc-transitive either
+    "pair:group=s8:rule=affine_plane",
+]
+
+
+@pytest.mark.parametrize("tag", REFERENCE_TAGS)
+def test_nbrs_match_the_rule_scan(tag):
+    g = build_triple(parse_tag(tag)).graph
+    assert g.nbrs == _reference_nbrs(tag, g.n)
+
+
+@pytest.mark.parametrize(
+    "tag",
+    [
+        "pair:group=m22:design=s22:rule=design_in",
+        "flag:design=s22:group=m22:rule=m22_meet_two",
+    ],
+)
+def test_nbrs_share_one_int_per_vertex(tag):
+    # past 256 vertices ints are not interned, so a fresh int per entry
+    # would cost a 28-byte object for every arc
+    g = build_triple(parse_tag(tag)).graph
+    assert g.n > 256
+    assert len({id(v) for nb in g.nbrs for v in nb}) <= g.n
 
 
 class TestStar:

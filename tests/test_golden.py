@@ -24,10 +24,17 @@ TAGS = (
     "cr:q=9:d=3:s=2",
     "tcr:q=9:d=4:s=2",
     "pair:group=s5:rule=all_distinct",
+    "pair:group=s5:rule=same_second",
     "pair:group=agl_d3:rule=affine_non_plane",
+    "pair:group=agl_d3:rule=affine_plane",
     "pair:group=m11_12:design=h12:rule=design_in",
+    "pair:group=m11_12:design=h12:rule=design_out",
     "flag:design=ag_d3:group=agl_d3:rule=opposite_non_complement",
+    "flag:design=ag_d3:group=agl_d3:rule=same_block",
+    "flag:design=ag_d3:group=agl_d3:rule=disjoint_blocks",
+    "flag:design=ag_d3:group=agl_d3:rule=common_two_points",
     "flag:design=s22:group=m22:rule=m22_disjoint",
+    "flag:design=s22:group=m22:rule=m22_meet_two",
     "match:group=pgammal_q8_s1",
     "star:pair:group=s5:rule=all_distinct",
     "star:flag:design=ag_d3:group=agl_d3:rule=common_two_points",
