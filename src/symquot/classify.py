@@ -3,12 +3,14 @@
 ``classify_triple`` is the entry point.  It runs five independent
 hypothesis checks, measures the numeric parameters straight off the
 graph, applies the coarse four-way case split, and in the main case
-walks a closed list of family signatures.  Verdict labels use a
-two-branch numbering: labels beginning ``1.1`` cover cross valency
-t = 1, labels beginning ``1.2`` cover t >= 2.  A triple that passes
-every hypothesis but matches no signature gets the literal verdict
-``"Unmatched"``; that is a supported outcome for exploratory inputs,
-not an error.
+walks a closed list of family signatures.  Pair labels, edge kinds and
+the block design are read from block masks (a block's rows ORed, one
+mask per label value, one per point), not one vertex or arc at a time.
+Verdict labels use a two-branch numbering: labels beginning ``1.1``
+cover cross valency t = 1, labels beginning ``1.2`` cover t >= 2.  A
+triple that passes every hypothesis but matches no signature gets the
+literal verdict ``"Unmatched"``; that is a supported outcome for
+exploratory inputs, not an error.
 
 ``census`` builds every family instance within given size caps from
 its tag and feeds each back through the classifier, asserting that
@@ -19,6 +21,7 @@ patterns of the three flag geometries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from typing import NamedTuple, Optional
@@ -30,8 +33,10 @@ from .graphs import (
     Graph,
     Partition,
     StructureTag,
+    _rows,
     cross_counts,
     has_intra_block_edges,
+    hit_mask,
     is_g_symmetric,
     quotient_graph,
     recognize_structure,
@@ -117,14 +122,25 @@ def _two_transitive_within_block(group: PermutationGroup, partition: Partition) 
     # Blocks move whole, so the orbit of an ordered pair inside one block
     # meets that block's square in a single block-stabilizer orbit.  Double
     # transitivity of the stabilizer on its block is then one orbit count;
-    # the orbit holds (a, b) when b is in the suborbit G_x.y carried to a.
+    # the orbit holds (a, b) when b is in the suborbit G_x.y carried to a
+    # along x's Schreier tree, which only the home block's points need.
     home = partition.blocks[0]
     v = len(home)
     if v == 1:
         return True
-    out = group.translates(home[0], group.suborbit(home[0], home[1]))
+    x = home[0]
+    tree = group.schreier_tree(x)
+    need = set()
+    for a in home:
+        while a not in need and tree.get(a):
+            need.add(a)
+            a = tree[a][0]
+    carried = {x: group.suborbit(x, home[1])}
+    for w in filter(need.__contains__, tree):  # parents first
+        u, im = tree[w]
+        carried[w] = [im[b] for b in carried[u]]
     inside = set(home)
-    hits = sum(len(inside.intersection(out[a])) for a in home if out[a] is not None)
+    hits = sum(len(inside.intersection(carried[a])) for a in home if a in carried)
     return hits == v * (v - 1)
 
 
@@ -147,26 +163,18 @@ def verify_hypotheses(T: Triple) -> dict:
 def _design_profile(
     D: IncidenceStructure,
 ) -> tuple[Optional[int], Optional[int], Optional[int]]:
-    # (r, lambda_2, rho), walking only points and pairs.  params() walks
+    # (r, lambda_2, rho) from one mask per point of the blocks through
+    # it: r is a popcount, lambda_2 that of a pair's AND.  params() walks
     # subsets up to size five, far too wide when blocks hold dozens of
     # points; the classifier never needs more than the pair count.
-    per_point: Counter = Counter()
-    for blk in D.blocks:
-        per_point.update(blk)
-    vals = {per_point.get(p, 0) for p in range(D.v)}
+    through = [0] * D.v
+    for bi, blk in enumerate(D.blocks):
+        for p in blk:
+            through[p] |= 1 << bi
+    vals = {m.bit_count() for m in through}
     r = vals.pop() if len(vals) == 1 else None
-    pairs: Counter = Counter()
-    for blk in D.blocks:
-        for a in range(len(blk)):
-            for b in range(a + 1, len(blk)):
-                x, y = blk[a], blk[b]
-                pairs[(x, y) if x < y else (y, x)] += 1
-    if not pairs:
-        lam2: Optional[int] = 0
-    else:
-        seen = set(pairs.values())
-        full = len(pairs) == math.comb(D.v, 2)
-        lam2 = seen.pop() if full and len(seen) == 1 else None
+    pairs = {(m1 & m2).bit_count() for m1, m2 in itertools.combinations(through, 2)}
+    lam2 = max(pairs, default=0) if len(pairs) < 2 else None
     mult = set(Counter(D.blocks).values())
     rho = mult.pop() if len(mult) == 1 else None
     return r, lam2, rho
@@ -254,39 +262,47 @@ def corollary_case(P: TripleParams) -> str:
 def _pair_labels(T: Triple) -> Optional[list[tuple[int, int]]]:
     # With k = v - 1 every vertex sees all neighbouring blocks but one,
     # so (own block, missed block) is a candidate labelling by ordered
-    # block pairs.  None when any vertex breaks the pattern or labels
-    # collide.
+    # block pairs.  Rows are symmetric, so the vertices of block i that
+    # miss block j are those outside block j's hit mask.  None when any
+    # vertex misses no block or two, or labels collide.
     g, P = T.graph, T.partition
-    c = P.block_count
-    labels = []
-    for x in range(g.n):
-        i = P.block_of[x]
-        miss = [j for j in range(c) if j != i and not g.adj[x] & P.block_mask(j)]
-        if len(miss) != 1:
+    hits = [hit_mask(g, blk) for blk in P.blocks]
+    labels: list = [None] * g.n
+    for i in range(P.block_count):
+        mask = unlabelled = P.block_mask(i)
+        for j, hit in enumerate(hits):
+            if j != i and (miss := mask & ~hit):
+                if miss & (miss - 1) or not miss & unlabelled:
+                    return None
+                unlabelled ^= miss
+                labels[miss.bit_length() - 1] = (i, j)
+        if unlabelled:
             return None
-        labels.append((i, miss[0]))
-    if len(set(labels)) != g.n:
-        return None
     return labels
 
 
 def _edge_label_kind(g: Graph, labels: list[tuple[int, int]]) -> str:
-    kinds: set[str] = set()
-    for x, nb in enumerate(g.nbrs):
-        i, j = labels[x]
-        for y in nb:
-            if y < x:
-                continue  # each edge once, from its lower end
-            i2, j2 = labels[y]
-            if j == j2 and i != i2:
-                kinds.add("same_second")
-            elif i2 not in (i, j) and j2 not in (i, j):  # a label names two blocks
-                kinds.add("four_distinct")
-            else:
-                return "mixed"
-            if len(kinds) > 1:
-                return "mixed"
-    return kinds.pop() if kinds else "empty"
+    # An edge between labels (i, j) and (i2, j2) is same_second when
+    # j2 = j and i2 != i, four_distinct when {i2, j2} misses {i, j}.  Both
+    # tests are symmetric in the two ends, so each vertex tests its whole
+    # row against masks A[i] (first label i) and Z[j] (second label j).
+    firsts: dict = {}
+    seconds: dict = {}
+    for x, (i, j) in enumerate(labels[: g.n]):
+        firsts.setdefault(i, []).append(x)
+        seconds.setdefault(j, []).append(x)
+    A = dict(zip(firsts, _rows(g.n, firsts.values())))
+    Z = dict(zip(seconds, _rows(g.n, seconds.values())))
+    same = distinct = 0
+    for row, (i, j) in zip(g.adj, labels):
+        ss = row & Z[j] & ~A[i]
+        fd = row & ~(A[i] | A.get(j, 0) | Z.get(i, 0) | Z[j])
+        if ss | fd != row:
+            return "mixed"
+        same, distinct = same or ss, distinct or fd
+        if same and distinct:
+            return "mixed"
+    return "same_second" if same else "four_distinct" if distinct else "empty"
 
 
 def _prime_power(q: int) -> Optional[tuple[int, int]]:

@@ -144,13 +144,14 @@ def pair_action(G: PermutationGroup) -> LiftedGroup:
         raise ConstructionError("pair domain needs at least three points")
     w = m - 1
 
-    def act(im: tuple[int, ...], z: int) -> int:
-        # pair_from_index, the point images, then pair_index
-        i, r = divmod(z, w)
-        a, b = im[i], im[r + (r >= i)]
-        return a * w + b - (b > a)
+    def lift(im: tuple[int, ...]) -> tuple[int, ...]:
+        # pair_index of the image of every pair (i, j), in pair_index order
+        out: list[int] = []
+        for i, a in enumerate(im):
+            out.extend(a * w + b - (b > a) for b in im[:i] + im[i + 1:])
+        return tuple(out)
 
-    return LiftedGroup(G, act, pair_partition(m).blocks)
+    return LiftedGroup(G, lift, pair_partition(m).blocks)
 
 
 def pair_partition(m: int) -> Partition:
@@ -410,10 +411,10 @@ def flag_graph(
 
     block_index = {blk: i for i, blk in enumerate(D.blocks)}
 
-    def act(im: tuple[int, ...], z: int) -> int:
-        p, bi = flag_list[z]
-        target = tuple(sorted(im[x] for x in D.blocks[bi]))
-        return flag_of[(im[p], block_index[target])]
+    def lift(im: tuple[int, ...]) -> tuple[int, ...]:
+        # each block's image once, then the image of every flag
+        moved = [block_index[tuple(sorted(im[x] for x in blk))] for blk in D.blocks]
+        return tuple(flag_of[im[p], moved[bi]] for p, bi in flag_list)
 
     blocks = []
     start = 0
@@ -424,7 +425,7 @@ def flag_graph(
     # Partition refuses an empty block, so every point lies on a flag and
     # the lift is faithful.
     partition = Partition(blocks)
-    flag_group = LiftedGroup(G, act, partition.blocks)
+    flag_group = LiftedGroup(G, lift, partition.blocks)
 
     params = []
     if design_label:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import DesignError
@@ -112,6 +112,11 @@ class IncidenceStructure:
         return len(self.blocks)
 
     def params(self) -> DesignParams:
+        """Counted once per structure; each call gets its own object."""
+        return DesignParams(*self._counted)
+
+    @cached_property
+    def _counted(self) -> tuple:
         if not self.blocks:
             raise DesignError("structure has no blocks")
         sizes = {len(blk) for blk in self.blocks}
@@ -142,7 +147,7 @@ class IncidenceStructure:
         mult = Counter(self.blocks)
         mvals = set(mult.values())
         rho = mvals.pop() if len(mvals) == 1 else None
-        return DesignParams(self.v, self.b, r, k, lambdas, rho)
+        return self.v, self.b, r, k, tuple(lambdas), rho
 
     def derived(self, point: int) -> "IncidenceStructure":
         """Blocks through the point, with the point deleted and the rest

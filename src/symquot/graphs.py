@@ -308,14 +308,21 @@ def quotient_graph(g: Graph, P: Partition) -> Graph:
         raise GraphError("partition does not match the graph")
     nb = len(P.blocks)
     rows = [0] * nb
-    for i in range(nb):
-        hit = 0
-        for x in P.blocks[i]:
-            hit |= g.adj[x]
+    for i, blk in enumerate(P.blocks):
+        hit = hit_mask(g, blk)
         for j in range(nb):
             if j != i and hit & P.block_mask(j):
                 rows[i] |= 1 << j
     return Graph(nb, rows)
+
+
+def hit_mask(g: Graph, vertices: Iterable[int]) -> int:
+    """The vertices with a neighbour among ``vertices``: the OR of their
+    rows, since rows are symmetric."""
+    hit = 0
+    for x in vertices:
+        hit |= g.adj[x]
+    return hit
 
 
 def has_intra_block_edges(g: Graph, P: Partition) -> bool:
@@ -500,20 +507,11 @@ def is_g_symmetric(g: Graph, G: PermutationGroup) -> bool:
     u0 = next((u for u, nb in enumerate(nbrs) if nb), None)
     if u0 is None:
         return True
-    gen_images = [p.images for p in G.generators]
-    reached = [False] * g.n
-    reached[u0] = True
-    queue = [u0]
     # one sort per vertex; a graph G does not preserve exits here, before
     # the suborbit search (a pair BFS over the domain for plain groups)
-    for u in queue:
-        for im in gen_images:
-            w = im[u]
-            if not reached[w]:
-                if nbrs[w] != tuple(sorted(map(im.__getitem__, nbrs[u]))):
-                    return False
-                reached[w] = True
-                queue.append(w)
+    for w, (u, im) in list(G.schreier_tree(u0).items())[1:]:
+        if nbrs[w] != tuple(sorted(map(im.__getitem__, nbrs[u]))):
+            return False
     return tuple(G.suborbit(u0, nbrs[u0][0])) == nbrs[u0]
 
 

@@ -59,6 +59,8 @@ def _pair_suborbit(gens: Sequence[tuple[int, ...]], n: int, x: int, y: int) -> l
         for im in gens:
             nxt = im[a] * n + im[b]
             if nxt not in seen:
+                if len(seen) >= PAIR_BFS_CAP:
+                    raise GroupError("pair-orbit search exceeded state cap")
                 seen.add(nxt)
                 queue.append(nxt)
     lo = x * n
@@ -352,20 +354,23 @@ class PermutationGroup:
 
     def orbit(self, x: int) -> list[int]:
         """Orbit of x in breadth-first discovery order."""
+        return list(self.schreier_tree(x))
+
+    def schreier_tree(self, x: int) -> dict[int, tuple[int, tuple[int, ...]] | None]:
+        """x's orbit in breadth-first discovery order, each point mapped to
+        its parent and the images of the generator taking the parent to
+        it; x maps to None."""
         if not 0 <= x < self.degree:
             raise GroupError("point out of range")
-        out = [x]
-        seen = {x}
-        qi = 0
-        while qi < len(out):
-            pt = out[qi]
-            qi += 1
+        tree: dict = {x: None}
+        queue = [x]
+        for u in queue:
             for im in self._gen_images:
-                y = im[pt]
-                if y not in seen:
-                    seen.add(y)
-                    out.append(y)
-        return out
+                w = im[u]
+                if w not in tree:
+                    tree[w] = (u, im)
+                    queue.append(w)
+        return tree
 
     def orbits(self) -> list[list[int]]:
         seen = [False] * self.degree
@@ -486,16 +491,11 @@ class PermutationGroup:
         """Entry u: the sorted image of ``points`` under the Schreier-tree
         element taking x to u, None off x's orbit.  For ``points`` fixed by
         G_x setwise (a suborbit, say) it does not depend on the tree."""
+        tree = self.schreier_tree(x)
         out: list[tuple[int, ...] | None] = [None] * self.degree
         out[x] = tuple(sorted(points))
-        queue = [x]
-        for u in queue:
-            here = out[u]
-            for im in self._gen_images:
-                w = im[u]
-                if out[w] is None:
-                    out[w] = tuple(sorted(map(im.__getitem__, here)))
-                    queue.append(w)
+        for w, (u, im) in list(tree.items())[1:]:
+            out[w] = tuple(sorted(map(im.__getitem__, out[u])))
         return out
 
     def is_self_paired(self, x: int, y: int) -> bool:
@@ -561,8 +561,8 @@ class PermutationGroup:
 class LiftedGroup(PermutationGroup):
     """A faithful lift of a point group onto a larger domain.
 
-    ``act(point_images, z)`` is the image of lifted point z under a point
-    permutation; ``generators[i]`` is derived from it as the lift of
+    ``lift(point_images)`` is the image tuple of a point permutation on
+    the lifted domain; ``generators[i]`` is ``lift`` of
     ``point_group.generators[i]``.  ``fibres[p]`` lists the lifted points
     over point p (ordered pairs with first coordinate p, or flags through
     p) and covers the domain.  The builder guarantees faithfulness, so the
@@ -573,19 +573,16 @@ class LiftedGroup(PermutationGroup):
     def __init__(
         self,
         point_group: PermutationGroup,
-        act: Callable[[tuple[int, ...], int], int],
+        lift: Callable[[tuple[int, ...]], tuple[int, ...]],
         fibres: Sequence[Sequence[int]],
     ):
         self.point_group = point_group
-        self.act = act
+        self.lift = lift
         self.fibres = tuple(tuple(f) for f in fibres)
         self._fibre_of = {z: p for p, fibre in enumerate(self.fibres) for z in fibre}
         self._fibre_stabilizers: dict[int, list[tuple[int, ...]]] = {}
-        lifts = [Permutation(self._lift(g.images)) for g in point_group.generators]
+        lifts = [Permutation(lift(g.images)) for g in point_group.generators]
         super().__init__(len(self._fibre_of), lifts)
-
-    def _lift(self, point_images: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.act(point_images, z) for z in range(len(self._fibre_of)))
 
     def order(self) -> int:
         return self.point_group.order()
@@ -623,6 +620,6 @@ class LiftedGroup(PermutationGroup):
                 point_gens = [_mul(_mul(_inv(t), h[0]), t) for h in strong]
             else:
                 point_gens = [g.images for g in self.point_group.stabilizer([p]).generators]
-            gens = [self._lift(h) for h in dict.fromkeys(point_gens)]
+            gens = [self.lift(h) for h in dict.fromkeys(point_gens)]
             self._fibre_stabilizers[p] = gens
         return gens

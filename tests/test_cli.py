@@ -280,6 +280,17 @@ class TestExitCodes:
         assert err.startswith("symquot: ") and err.count("\n") == 1
         assert "degree cap" in err
 
+    def test_pair_search_cap_exits_one(self, monkeypatch):
+        # a pair tag builds no orbital graph, so the first pair search is a
+        # suborbit in the arc-transitivity check
+        from symquot import permgroup
+
+        monkeypatch.setattr(permgroup, "PAIR_BFS_CAP", 2)
+        code, out, err = invoke("classify", "pair:group=s5:rule=same_second")
+        assert code == 1 and out == ""
+        assert err.startswith("symquot: ") and err.count("\n") == 1
+        assert "state cap" in err
+
     # one tag per remaining kind: refused on the vertex count the tag
     # names, or on a design the catalog does not have, before any group
     # or field is built

@@ -20,6 +20,25 @@ FANO = IncidenceStructure(7, [tuple((i + d) % 7 for d in (0, 1, 3)) for i in ran
 
 
 class TestParams:
+    def test_counted_once_per_structure(self, monkeypatch):
+        from symquot import designs
+
+        counted = []
+        real = designs._subsets
+        monkeypatch.setattr(
+            designs, "_subsets", lambda blk, t: counted.append(t) or real(blk, t)
+        )
+        D = IncidenceStructure(7, FANO.blocks)
+        first = D.params()
+        assert counted
+        calls = len(counted)
+        second = D.params()
+        assert len(counted) == calls
+        assert first is not second and repr(first) == repr(second)
+        # a caller editing its copy leaves the memo alone
+        first.r, first.lambdas = 99, ()
+        assert (D.params().r, D.params().lambdas) == (3, (3, 1))
+
     def test_fano(self):
         p = FANO.params()
         assert (p.v, p.b, p.r, p.k) == (7, 7, 3, 3)

@@ -342,6 +342,16 @@ def test_suborbit_rejects_points_out_of_range():
         C3.suborbits(3)
 
 
+def test_suborbit_search_is_capped(monkeypatch):
+    S4 = PermutationGroup(4, [P(4, [(0, 1)]), P(4, [(0, 1, 2, 3)])])
+    assert S4.suborbit(0, 1) == [1, 2, 3]  # all 12 ordered pairs
+    monkeypatch.setattr(permgroup, "PAIR_BFS_CAP", 11)
+    with pytest.raises(GroupError, match="state cap"):
+        S4.suborbit(0, 1)
+    monkeypatch.setattr(permgroup, "PAIR_BFS_CAP", 12)
+    assert S4.suborbit(0, 1) == [1, 2, 3]
+
+
 def test_self_paired_on_a_pair_lift():
     from symquot.constructions import pair_action
     from symquot.graphs import pair_index
