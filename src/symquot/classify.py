@@ -3,9 +3,11 @@
 ``classify_triple`` is the entry point.  It runs five independent
 hypothesis checks, measures the numeric parameters straight off the
 graph, applies the coarse four-way case split, and in the main case
-walks a closed list of family signatures.  Pair labels, edge kinds and
-the block design are read from block masks (a block's rows ORed, one
-mask per label value, one per point), not one vertex or arc at a time.
+takes the first matching row of ``_SIGNATURES``, the paper's closed
+list of family signatures; row order is its precedence.  Pair labels,
+edge kinds and the block design are read from block masks (a block's
+rows ORed, one mask per label value, one per point), not one vertex or
+arc at a time.
 Verdict labels use a two-branch numbering: labels beginning ``1.1``
 cover cross valency t = 1, labels beginning ``1.2`` cover t >= 2.  A
 triple that passes every hypothesis but matches no signature gets the
@@ -16,7 +18,7 @@ exploratory inputs, not an error.
 its tag and feeds each back through the classifier, asserting that
 nothing escapes the lists.  ``orbit_length_check`` measures point
 stabilizer orbits on a neighbouring block against the tabulated
-patterns of the three flag geometries.
+patterns of the flag geometries that ``_geometry`` names.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .constructions import Triple, build_triple, group_token, parse_tag
@@ -333,152 +336,104 @@ def _fits_projective_line(H: PermutationGroup, q: int) -> bool:
     return H.transitivity_degree() >= 3
 
 
-def _affine_group_orders(d: int) -> frozenset:
-    o = 1 << d
-    for i in range(d):
-        o *= (1 << d) - (1 << i)
-    # dimension 4 admits one proper subgroup with the same block action
-    return frozenset({o, 40320}) if d == 4 else frozenset({o})
-
-
 def _binary_dim(x: int) -> Optional[int]:
     d = x.bit_length() - 1
     return d if d >= 0 and 1 << d == x else None
 
 
-def _flag_complete_case(v: int, comps: int, size: int, order: int) -> Optional[str]:
+def _geometry(v: int, order: int) -> Optional[str]:
+    """The flag geometry that blocks of size v under a group of this order
+    carry: ``"affine"`` (the hyperplanes of AG(d, 2), v = 2^d - 1, half
+    the points in each), ``"steiner_22"``, ``"hadamard_12"``, or None."""
     d = _binary_dim(v + 1)
-    if (
-        d is not None
-        and d >= 2
-        and (comps, size) == ((1 << (d + 1)) - 2, 1 << (d - 1))
-        and order in _affine_group_orders(d)
-    ):
-        return "1.1(c)(i)"
-    if (v, comps, size) == (21, 77, 6) and order in M22_ORDERS:
-        return "1.1(c)(ii)"
-    if (v, comps, size) == (11, 22, 6) and order == M11_ORDER:
-        return "1.1(c)(iii)"
+    if d is not None and d >= 2:
+        agl = 1 << d
+        for i in range(d):
+            agl *= (1 << d) - (1 << i)
+        # dimension 4 admits one proper subgroup with the same block action
+        if order == agl or (d == 4 and order == 40320):
+            return "affine"
+    if v == 21 and order in M22_ORDERS:
+        return "steiner_22"
+    if v == 11 and order == M11_ORDER:
+        return "hadamard_12"
     return None
 
 
-def _match_t1(
+_FD = "four_distinct"
+# branches (t == 1, k == v - 1): with k = v - 1 the vertices can carry
+# pair labels (the pair families), otherwise the flag families apply
+_T1_PAIR, _T1_FLAG = (True, True), (True, False)
+_T2_PAIR, _T2_FLAG = (False, True), (False, False)
+
+# The paper's closed list for the main case, one (label, branch, test)
+# row per signature.  The matcher returns the first row of the triple's
+# branch whose test holds, so row order is the precedence; a triple that
+# no row takes is "Unmatched".
+_SIGNATURES = (
+    ("1.1(b)(ii)", _T1_PAIR, lambda f: f.kind == "same_second"
+        and f.structure == StructureTag("DisjointComplete", (f.v + 1, f.v))),
+    # on 4 blocks the affine and projective families coincide; the
+    # projective label is the canonical verdict there, so it comes first
+    ("1.1(b)(iii)", _T1_PAIR, lambda f: f.kind == _FD
+        and _fits_projective_line(f.H, f.v)),
+    ("1.1(b)(iv)", _T1_PAIR, lambda f: f.kind == _FD and f.geo == "affine"
+        and f.structure == (
+            StructureTag("DisjointCycles", (3, 4)) if f.v == 3
+            else StructureTag("DisjointCompleteMultipartite", (f.v, f.half, 2)))),
+    ("1.1(c)(i)", _T1_FLAG, lambda f: f.geo == "affine" and f.k == f.half - 1
+        and f.structure == StructureTag("DisjointComplete", (2 * f.v, f.half))),
+    ("1.1(c)(ii)", _T1_FLAG, lambda f: f.geo == "steiner_22" and f.k == 5
+        and f.structure == StructureTag("DisjointComplete", (77, 6))),
+    ("1.1(c)(iii)", _T1_FLAG, lambda f: f.geo == "hadamard_12" and f.k == 5
+        and f.structure == StructureTag("DisjointComplete", (22, 6))),
+    ("1.1(d)", _T1_FLAG, lambda f: f.geo in ("affine", "hadamard_12") and f.v >= 7
+        and f.structure == StructureTag("DisjointCompleteBipartite", (f.v, f.half))),
+    # the t = v - 2 family exists exactly for 4-transitive block actions,
+    # and must win over the projective test: degree 5 fits both
+    ("1.2(b)(i)", _T2_PAIR, lambda f: f.kind == _FD and f.t == f.v - 2
+        and f.H.transitivity_degree() >= 4),
+    # t must divide the degree of GF(v) over its prime field
+    ("1.2(b)(ii)", _T2_PAIR, lambda f: f.kind == _FD
+        and _fits_projective_line(f.H, f.v) and _prime_power(f.v)[1] % f.t == 0),
+    # any other t on a projective block action is outside the list,
+    # whatever geometry the order names (PGL(2, 7) beside AGL(3, 2)'s 1344)
+    ("Unmatched", _T2_PAIR, lambda f: f.kind == _FD
+        and _fits_projective_line(f.H, f.v)),
+    ("1.2(b)(iii.1)", _T2_PAIR, lambda f: f.kind == _FD and (f.geo, f.t) in (
+        ("affine", f.v - 3), ("steiner_22", 16), ("hadamard_12", 3))),
+    ("1.2(b)(iii.2)", _T2_PAIR, lambda f: f.kind == _FD
+        and (f.geo, f.t) in (("steiner_22", 3), ("hadamard_12", 6))),
+    ("1.2(c)(i)", _T2_FLAG, lambda f: (f.geo, f.k, f.t) in (
+        ("affine", f.half - 1, f.half - 2), ("steiner_22", 5, 4),
+        ("hadamard_12", 5, 4))),
+    ("1.2(c)(ii)", _T2_FLAG, lambda f: (f.geo, f.k, f.t) in (
+        ("affine", f.half, f.half - 1), ("hadamard_12", 6, 5))),
+    ("1.2(c)(iii)", _T2_FLAG, lambda f: f.geo == "steiner_22"
+        and f.k == 16 and f.t in (6, 10)),
+)
+
+
+def _match(
     T: Triple,
     P: TripleParams,
     structure: StructureTag,
     order: int,
     blocks_action: PermutationGroup,
 ) -> str:
-    v, k = P.v, P.k
-    if k == v - 1:
-        labels = _pair_labels(T)
-        if labels is None:
-            return "Unmatched"
+    # t >= 1 as compute_params measures it, so t != 1 is the t >= 2 branch
+    pair = P.k == P.v - 1
+    kind = None
+    if pair and (labels := _pair_labels(T)) is not None:
         kind = _edge_label_kind(T.graph, labels)
-        if kind == "same_second":
-            if structure == StructureTag("DisjointComplete", (v + 1, v)):
-                return "1.1(b)(ii)"
-            return "Unmatched"
-        if kind != "four_distinct":
-            return "Unmatched"
-        # on 4 blocks the affine and projective families coincide; the
-        # projective label is the canonical verdict there, so test it first
-        if _fits_projective_line(blocks_action, v):
-            return "1.1(b)(iii)"
-        d = _binary_dim(v + 1)
-        if d is not None and d >= 2 and order in _affine_group_orders(d):
-            want = (
-                StructureTag("DisjointCycles", (3, 4))
-                if d == 2
-                else StructureTag(
-                    "DisjointCompleteMultipartite", (v, 1 << (d - 1), 2)
-                )
-            )
-            if structure == want:
-                return "1.1(b)(iv)"
-        return "Unmatched"
-    if structure.kind == "DisjointComplete":
-        comps, size = structure.params
-        case = _flag_complete_case(v, comps, size, order)
-        if case is not None and k == size - 1:
-            return case
-        return "Unmatched"
-    if structure.kind == "DisjointCompleteBipartite":
-        comps, size = structure.params
-        d = _binary_dim(v + 1)
-        if (
-            d is not None
-            and d >= 3
-            and (comps, size) == (v, 1 << (d - 1))
-            and order in _affine_group_orders(d)
-        ):
-            return "1.1(d)"
-        if (v, comps, size) == (11, 11, 6) and order == M11_ORDER:
-            return "1.1(d)"
-        return "Unmatched"
-    return "Unmatched"
-
-
-def _match_t2(
-    T: Triple,
-    P: TripleParams,
-    structure: StructureTag,
-    order: int,
-    blocks_action: PermutationGroup,
-) -> str:
-    v, t, k = P.v, P.t, P.k
-    if k == v - 1:
-        labels = _pair_labels(T)
-        if labels is None or _edge_label_kind(T.graph, labels) != "four_distinct":
-            return "Unmatched"
-        # the t = v - 2 family exists exactly for 4-transitive block
-        # actions, and must win over the projective test: degree 5 fits
-        # both signatures
-        if t == v - 2 and blocks_action.transitivity_degree() >= 4:
-            return "1.2(b)(i)"
-        if _fits_projective_line(blocks_action, v):
-            _, n = _prime_power(v)
-            if any(n % sd == 0 and sd % t == 0 for sd in range(t, n + 1)):
-                return "1.2(b)(ii)"
-            return "Unmatched"
-        d = _binary_dim(v + 1)
-        if d is not None and d >= 3 and order in _affine_group_orders(d):
-            return "1.2(b)(iii.1)" if t == (1 << d) - 4 else "Unmatched"
-        if v == 21 and order in M22_ORDERS:
-            if t == 16:
-                return "1.2(b)(iii.1)"
-            if t == 3:
-                return "1.2(b)(iii.2)"
-            return "Unmatched"
-        if v == 11 and order == M11_ORDER:
-            if t == 3:
-                return "1.2(b)(iii.1)"
-            if t == 6:
-                return "1.2(b)(iii.2)"
-            return "Unmatched"
-        return "Unmatched"
-    if not 3 <= k <= v - 2:
-        return "Unmatched"
-    d = _binary_dim(v + 1)
-    if d is not None and d >= 3 and order in _affine_group_orders(d):
-        half = 1 << (d - 1)
-        if (k, t) == (half - 1, half - 2):
-            return "1.2(c)(i)"
-        if (k, t) == (half, half - 1):
-            return "1.2(c)(ii)"
-        return "Unmatched"
-    if v == 21 and order in M22_ORDERS:
-        if (k, t) == (5, 4):
-            return "1.2(c)(i)"
-        if k == 16 and t in (6, 10):
-            return "1.2(c)(iii)"
-        return "Unmatched"
-    if v == 11 and order == M11_ORDER:
-        if (k, t) == (5, 4):
-            return "1.2(c)(i)"
-        if (k, t) == (6, 5):
-            return "1.2(c)(ii)"
-        return "Unmatched"
+    # what the rows read; kind is None off k = v - 1 or without labels
+    fit = SimpleNamespace(
+        v=P.v, k=P.k, t=P.t, half=(P.v + 1) // 2, H=blocks_action,
+        structure=structure, kind=kind, geo=_geometry(P.v, order),
+    )
+    for label, branch, test in _SIGNATURES:
+        if branch == (P.t == 1, pair) and test(fit):
+            return label
     return "Unmatched"
 
 
@@ -514,12 +469,8 @@ def classify_triple(T: Triple) -> ClassificationVerdict:
             # A faithful block action gives the order on the small
             # domain; a chain on the vertex domain can be several
             # thousand points wide.
-            if kernel_trivial:
-                order = blocks_action.order()
-            else:
-                order = T.group.order()
-            match = _match_t1 if P.t == 1 else _match_t2
-            label = match(T, P, structure, order, blocks_action)
+            order = blocks_action.order() if kernel_trivial else T.group.order()
+            label = _match(T, P, structure, order, blocks_action)
     return ClassificationVerdict(report, P, case, label, structure)
 
 
@@ -534,28 +485,20 @@ def orbit_length_check(T: Triple) -> dict:
     """
     G, P = T.group, T.partition
     v = P.uniform_block_size()
-    order = G.order()
-    design = None
-    expect: dict = {}
-    if v is not None:
-        d = _binary_dim(v + 1)
-        if d is not None and d >= 3 and order in _affine_group_orders(d):
-            half = 1 << (d - 1)
-            design = "affine"
-            expect = {
-                "incident": (1, half - 2, half),
-                "non_incident": (1, half - 1, half - 1),
-            }
-        elif v == 21 and order in M22_ORDERS:
-            design = "steiner_22"
-            expect = {"incident": (1, 4, 16), "non_incident": (5, 6, 10)}
-        elif v == 11 and order == M11_ORDER:
-            design = "hadamard_12"
-            expect = {"incident": (1, 4, 6), "non_incident": (1, 5, 5)}
+    # AG(2, 2) is a flag geometry too small to carry a table
+    design = _geometry(v, G.order()) if v is not None and v > 3 else None
     if design is None:
         raise ClassificationError(
             "orbit length tables exist only for the three flag geometries"
         )
+    # the 3-(12, 6, 2) table, (1, 4, 6) and (1, 5, 5), is the affine
+    # pattern at half = 6
+    half = (v + 1) // 2
+    expect = (
+        {"incident": (1, 4, 16), "non_incident": (5, 6, 10)}
+        if design == "steiner_22"
+        else {"incident": (1, half - 2, half), "non_incident": (1, half - 1, half - 1)}
+    )
     x = P.blocks[0][0]
     home = frozenset({P.block_of[x]})
     suborbits = G.suborbits(x)

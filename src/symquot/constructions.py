@@ -33,8 +33,10 @@ from .ffield import FieldElement, FiniteField
 from .graphs import (
     Graph,
     Partition,
+    _bits,
     _rows,
     cross_counts,
+    hit_mask,
     orbital_graph,
     pair_index,
     quotient_graph,
@@ -448,10 +450,11 @@ def star_transform(T: Triple) -> Triple:
     qedges = quot.edges()
     if not qedges:
         raise ConstructionError("no adjacent blocks to transform")
+    # a block's support towards block j is its part of j's hit mask
+    hit = [hit_mask(g, blk) for blk in P.blocks]
     i, j = qedges[0]
-    mask_i, mask_j = P.block_mask(i), P.block_mask(j)
-    x_ij = [x for x in P.blocks[i] if g.adj[x] & mask_j]
-    x_ji = [x for x in P.blocks[j] if g.adj[x] & mask_i]
+    x_ij = _bits(P.block_mask(i) & hit[j])
+    x_ji = _bits(P.block_mask(j) & hit[i])
     k = len(x_ij)
     if k < 2 or len(x_ji) != k:
         raise ConstructionError(
@@ -474,21 +477,17 @@ def star_transform(T: Triple) -> Triple:
             "non-edges of the support rectangle split into several orbits"
         )
 
+    # each quotient edge flips only its own rectangle, so when its turn
+    # comes the rectangle still reads as in g.adj and complementing it
+    # is one XOR per row
     rows = list(g.adj)
     for bi, bj in qedges:
-        mi, mj = P.block_mask(bi), P.block_mask(bj)
-        sup_i = [x for x in P.blocks[bi] if rows[x] & mj]
-        sup_j = [y for y in P.blocks[bj] if rows[y] & mi]
-        sup_j_mask = 0
-        for y in sup_j:
-            sup_j_mask |= 1 << y
-        sup_i_mask = 0
-        for x in sup_i:
-            sup_i_mask |= 1 << x
-        for x in sup_i:
-            rows[x] = (rows[x] & ~sup_j_mask) | (sup_j_mask & ~g.adj[x])
-        for y in sup_j:
-            rows[y] = (rows[y] & ~sup_i_mask) | (sup_i_mask & ~g.adj[y])
+        sup_i = P.block_mask(bi) & hit[bj]
+        sup_j = P.block_mask(bj) & hit[bi]
+        for x in _bits(sup_i):
+            rows[x] ^= sup_j
+        for y in _bits(sup_j):
+            rows[y] ^= sup_i
     star = Graph(g.n, rows)
 
     prov = Provenance("star", (), T.provenance)

@@ -328,11 +328,7 @@ def hit_mask(g: Graph, vertices: Iterable[int]) -> int:
 def has_intra_block_edges(g: Graph, P: Partition) -> bool:
     if P.n != g.n:
         raise GraphError("partition does not match the graph")
-    for j, blk in enumerate(P.blocks):
-        mask = P.block_mask(j)
-        if any(g.adj[x] & mask for x in blk):
-            return True
-    return False
+    return any(hit_mask(g, blk) & P.block_mask(j) for j, blk in enumerate(P.blocks))
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:

@@ -10,8 +10,7 @@ from symquot.classify import (
     TripleParams,
     _edge_label_kind,
     _fits_projective_line,
-    _match_t1,
-    _match_t2,
+    _match,
     _pair_labels,
     _two_transitive_within_block,
     census,
@@ -450,19 +449,19 @@ class TestMatcherInternals:
         T = cross_ratio_graph(5, 2, 1)
         forged = classify_triple(T).params
         trivial = PermutationGroup(6, [Permutation(range(6))])
-        assert _match_t1(T, forged, StructureTag("Other"), 59, trivial) == "Unmatched"
+        assert _match(T, forged, StructureTag("Other"), 59, trivial) == "Unmatched"
 
     def test_unmatched_for_out_of_range_support(self):
         T = cross_ratio_graph(5, 2, 1)
         forged = TripleParams(v=5, b=5, s=4, t=2, m=4, r=2, k=2, lam=1, rho=1)
         trivial = PermutationGroup(6, [Permutation(range(6))])
-        assert _match_t2(T, forged, StructureTag("Other"), 59, trivial) == "Unmatched"
+        assert _match(T, forged, StructureTag("Other"), 59, trivial) == "Unmatched"
 
     def test_unmatched_for_wrong_sporadic_cross_valency(self):
         T = cross_ratio_graph(5, 2, 1)
         forged = TripleParams(v=11, b=11, s=20, t=2, m=20, r=10, k=10, lam=9, rho=1)
         trivial = PermutationGroup(6, [Permutation(range(6))])
-        assert _match_t2(T, forged, StructureTag("Other"), 7920, trivial) == "Unmatched"
+        assert _match(T, forged, StructureTag("Other"), 7920, trivial) == "Unmatched"
 
     def test_pair_labels_need_full_support(self, s4):
         # valency 1 misses two blocks per vertex, so no labelling exists
