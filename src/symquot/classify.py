@@ -39,9 +39,7 @@ from .graphs import (
     _rows,
     cross_counts,
     has_intra_block_edges,
-    hit_mask,
     is_g_symmetric,
-    quotient_graph,
     recognize_structure,
 )
 from .groups_catalog import _field_for, three_transitive_pgammal_list
@@ -150,15 +148,14 @@ def _two_transitive_within_block(group: PermutationGroup, partition: Partition) 
 def verify_hypotheses(T: Triple) -> dict:
     """Run the five entry checks and report each one; never raises."""
     g, G, P = T.graph, T.group, T.partition
-    quot = quotient_graph(g, P)
     c = P.block_count
     return {
         "arc_transitive": is_g_symmetric(g, G),
         "invariant_partition": (
             P.uniform_block_size() is not None and G.is_block_system(P.blocks)
         ),
-        "no_internal_edges": not has_intra_block_edges(g, P),
-        "complete_quotient": quot.edge_count == c * (c - 1) // 2,
+        "no_internal_edges": not has_intra_block_edges(g, P, T.hits),
+        "complete_quotient": T.quotient.edge_count == c * (c - 1) // 2,
         "two_transitive_blocks": _two_transitive_within_block(G, P),
     }
 
@@ -198,7 +195,7 @@ def compute_params(T: Triple) -> TripleParams:
     v = P.uniform_block_size()
     if v is None:
         raise ClassificationError("blocks differ in size")
-    quot = quotient_graph(g, P)
+    quot = T.quotient
     try:
         b = quot.valency()
     except SymquotError as exc:
@@ -269,11 +266,10 @@ def _pair_labels(T: Triple) -> Optional[list[tuple[int, int]]]:
     # miss block j are those outside block j's hit mask.  None when any
     # vertex misses no block or two, or labels collide.
     g, P = T.graph, T.partition
-    hits = [hit_mask(g, blk) for blk in P.blocks]
     labels: list = [None] * g.n
     for i in range(P.block_count):
         mask = unlabelled = P.block_mask(i)
-        for j, hit in enumerate(hits):
+        for j, hit in enumerate(T.hits):
             if j != i and (miss := mask & ~hit):
                 if miss & (miss - 1) or not miss & unlabelled:
                     return None

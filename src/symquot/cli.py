@@ -39,7 +39,6 @@ from .graphs import (
     graph_to_dimacs,
     graph_to_graph6,
     graph_to_json,
-    quotient_graph,
     recognize_structure,
 )
 
@@ -59,7 +58,6 @@ def _emit_table(rows: list[tuple[str, str]], out: IO[str]) -> None:
 def _cmd_construct(tag: Provenance, as_json: bool, out: IO[str]) -> int:
     T = build_triple(tag)
     g = T.graph
-    quot = quotient_graph(g, T.partition)
     doc = {
         "schema": SCHEMA,
         "tag": tag.tag,
@@ -69,7 +67,7 @@ def _cmd_construct(tag: Provenance, as_json: bool, out: IO[str]) -> int:
         "valency": g.valency(),
         "blocks": T.partition.block_count,
         "block_size": T.partition.uniform_block_size(),
-        "quotient_edges": quot.edge_count,
+        "quotient_edges": T.quotient.edge_count,
         "structure": str(recognize_structure(g)),
         "group_order": T.group.order(),
     }

@@ -79,9 +79,10 @@ class Provenance(NamedTuple):
 
 
 class Triple:
-    """A graph with the group and block partition it is symmetric over."""
+    """A graph with the group and block partition it is symmetric over.
+    Read-only; its blocks' hit masks and its quotient are kept once used."""
 
-    __slots__ = ("graph", "group", "partition", "provenance")
+    __slots__ = ("graph", "group", "partition", "provenance", "_hits", "_quotient")
 
     def __init__(
         self,
@@ -98,6 +99,19 @@ class Triple:
         self.group = group
         self.partition = partition
         self.provenance = provenance
+        self._hits = self._quotient = None
+
+    @property
+    def hits(self) -> list[int]:
+        if self._hits is None:
+            self._hits = [hit_mask(self.graph, blk) for blk in self.partition.blocks]
+        return self._hits
+
+    @property
+    def quotient(self) -> Graph:
+        if self._quotient is None:
+            self._quotient = quotient_graph(self.graph, self.partition, self.hits)
+        return self._quotient
 
     def __repr__(self) -> str:
         return f"Triple({self.provenance.tag}, n={self.graph.n})"
@@ -169,11 +183,10 @@ def _assert_pair_params(
     triple: Triple, k: int, t: int, what: str
 ) -> None:
     """Measure cross support and cross valency on one adjacent block pair."""
-    g, P = triple.graph, triple.partition
-    pair = next(iter(quotient_graph(g, P).edges()), None)
+    pair = next(iter(triple.quotient.edges()), None)
     if pair is None:
         raise ConstructionError(f"{what}: no adjacent blocks to verify against")
-    tvals, _, support = cross_counts(g, P, *pair)
+    tvals, _, support = cross_counts(triple.graph, triple.partition, *pair)
     if tvals != {t}:
         raise ConstructionError(f"{what}: cross valencies {tvals}, expected {{{t}}}")
     if support != k:
@@ -445,13 +458,11 @@ def flag_graph(
 def star_transform(T: Triple) -> Triple:
     """Complement the cross edges inside each adjacent block pair's support
     rectangle, keeping group and partition."""
-    g, P = T.graph, T.partition
-    quot = quotient_graph(g, P)
-    qedges = quot.edges()
+    g, P, hit = T.graph, T.partition, T.hits
+    qedges = T.quotient.edges()
     if not qedges:
         raise ConstructionError("no adjacent blocks to transform")
     # a block's support towards block j is its part of j's hit mask
-    hit = [hit_mask(g, blk) for blk in P.blocks]
     i, j = qedges[0]
     x_ij = _bits(P.block_mask(i) & hit[j])
     x_ji = _bits(P.block_mask(j) & hit[i])
@@ -665,9 +676,27 @@ def _vertex_count(tag: Provenance) -> Optional[int]:
     return None if m is None else m * (m - 1)
 
 
+# The last tag built and its triple: one entry, none after a failure.
+_kept: dict[Provenance, Triple] = {}
+
+
 def build_triple(tag: Provenance) -> Triple:
     """Build the triple a parsed tag names.  A tag naming more than
-    DEGREE_CAP vertices is refused before any group or field is built."""
+    DEGREE_CAP vertices is refused before any group or field is built.
+    An equal tag returns the last triple built, the same object, so
+    triples are read-only; the old one is dropped before a build starts."""
+    T = _kept.get(tag)
+    if T is None:
+        _kept.clear()
+        try:
+            T = _build(tag)
+        finally:
+            _kept.clear()  # what a star tag's inner build kept
+        _kept[tag] = T
+    return T
+
+
+def _build(tag: Provenance) -> Triple:
     n = _vertex_count(tag)
     if n is not None and n > DEGREE_CAP:
         raise ConstructionError(

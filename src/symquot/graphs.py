@@ -301,15 +301,15 @@ def orbital_graph(G: PermutationGroup, x: int, y: int) -> Graph:
     return Graph(G.degree, _rows(G.degree, nbrs), nbrs)
 
 
-def quotient_graph(g: Graph, P: Partition) -> Graph:
+def quotient_graph(g: Graph, P: Partition, hits: Sequence[int] = ()) -> Graph:
     """Blocks as vertices, adjacent when any cross edge exists.  Intra-block
-    edges never become loops; has_intra_block_edges reports them."""
+    edges never become loops; has_intra_block_edges reports them.  ``hits``
+    are the blocks' hit masks, when the caller already has them."""
     if P.n != g.n:
         raise GraphError("partition does not match the graph")
     nb = len(P.blocks)
     rows = [0] * nb
-    for i, blk in enumerate(P.blocks):
-        hit = hit_mask(g, blk)
+    for i, hit in enumerate(hits or [hit_mask(g, blk) for blk in P.blocks]):
         for j in range(nb):
             if j != i and hit & P.block_mask(j):
                 rows[i] |= 1 << j
@@ -325,10 +325,11 @@ def hit_mask(g: Graph, vertices: Iterable[int]) -> int:
     return hit
 
 
-def has_intra_block_edges(g: Graph, P: Partition) -> bool:
+def has_intra_block_edges(g: Graph, P: Partition, hits: Sequence[int] = ()) -> bool:
     if P.n != g.n:
         raise GraphError("partition does not match the graph")
-    return any(hit_mask(g, blk) & P.block_mask(j) for j, blk in enumerate(P.blocks))
+    hits = hits or [hit_mask(g, blk) for blk in P.blocks]
+    return any(hit & P.block_mask(j) for j, hit in enumerate(hits))
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:

@@ -619,9 +619,11 @@ def test_two_transitive_within_block_on_pair_lifts(point_group):
 def test_lift_checks_search_under_fibre_stabilizers(monkeypatch):
     """On a lift, the orbital graph and the arc and block checks take their
     suborbits under point stabilizers, never under the whole lifted group."""
-    from symquot import permgroup
+    from symquot import constructions, permgroup
     from symquot.constructions import build_triple, parse_tag
 
+    # a kept triple would have run its searches already
+    constructions._kept.clear()
     calls = []
     real = permgroup._pair_suborbit
 

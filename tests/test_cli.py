@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from symquot import constructions
 from symquot.cli import SCHEMA, TagError, build_triple, parse_tag, run
 from symquot.constructions import Provenance
 
@@ -285,6 +286,8 @@ class TestExitCodes:
         # suborbit in the arc-transitivity check
         from symquot import permgroup
 
+        # a kept triple would have run its searches already
+        constructions._kept.clear()
         monkeypatch.setattr(permgroup, "PAIR_BFS_CAP", 2)
         code, out, err = invoke("classify", "pair:group=s5:rule=same_second")
         assert code == 1 and out == ""
@@ -375,3 +378,42 @@ class TestDeterminism:
         assert invoke("census", "--max-q", "4", "--max-d", "2") == invoke(
             "census", "--max-q", "4", "--max-d", "2"
         )
+
+
+# Every verb that takes a tag, each format of export included.
+TAG_VERBS = [
+    ("construct", "--json"),
+    ("params", "--json"),
+    ("classify", "--json"),
+    ("export", "--format", "graph6"),
+    ("export", "--format", "dimacs"),
+    ("export", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize(
+    "tag",
+    [
+        "cr:q=9:d=3:s=2",
+        "tcr:q=9:d=4:s=2",
+        "flag:design=ag_d3:group=agl_d3:rule=common_two_points",
+        "star:pair:group=s5:rule=all_distinct",
+    ],
+)
+def test_shared_triple_prints_what_fresh_builds_print(tag, reverse):
+    """The verbs of one process share one kept triple, with whatever its
+    group, partition and quotient filled in for the verbs before; each
+    prints what it prints on a triple built for it alone."""
+    verbs = TAG_VERBS[::-1] if reverse else TAG_VERBS
+    fresh = []
+    for verb, *flags in verbs:
+        constructions._kept.clear()
+        fresh.append(invoke(verb, tag, *flags))
+    assert all(code == 0 and err == "" for code, _, err in fresh)
+    constructions._kept.clear()
+    shared = [invoke(verbs[0][0], tag, *verbs[0][1:])]
+    kept = build_triple(parse_tag(tag))
+    shared += [invoke(verb, tag, *flags) for verb, *flags in verbs[1:]]
+    assert build_triple(parse_tag(tag)) is kept
+    assert shared == fresh

@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symquot import constructions
 from symquot.constructions import (
     AFFINE_NON_PLANE,
     AFFINE_PLANE,
@@ -683,3 +686,79 @@ class TestTriple:
         T = pair_graph(sym_alt(5, False), ALL_DISTINCT)
         with pytest.raises(ConstructionError):
             Triple(T.graph, sym_alt(5, False), T.partition, T.provenance)
+
+    def test_quotient_and_hits_filled_once(self):
+        T = pair_graph(sym_alt(5, False), ALL_DISTINCT)
+        assert T.quotient is T.quotient and T.hits is T.hits
+        assert T.quotient == quotient_graph(T.graph, T.partition)
+
+
+class TestKeptTriple:
+    """build_triple keeps the last triple it built, and only that one."""
+
+    TAG = "cr:q=5:d=4:s=1"
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self):
+        constructions._kept.clear()
+
+    def test_equal_tag_returns_the_same_triple(self):
+        T = build_triple(parse_tag(self.TAG))
+        assert build_triple(parse_tag(self.TAG)) is T
+        assert build_triple(parse_tag("cr:s=1:d=4:q=5")) is T
+        assert build_triple(parse_tag("cr:q=05:d=4:s=001")) is T
+
+    def test_other_tag_evicts_and_frees(self, monkeypatch):
+        # a cr triple alone holds its lifted group, so the group is freed
+        # only once the triple is
+        first = build_triple(parse_tag(self.TAG))
+        ref = weakref.ref(first.group)
+        del first
+        # the old triple is gone before the next build starts
+        freed_at_start = []
+        build = constructions._build
+
+        def spy(tag):
+            gc.collect()
+            freed_at_start.append(ref() is None)
+            return build(tag)
+
+        monkeypatch.setattr(constructions, "_build", spy)
+        other = build_triple(parse_tag("cr:q=5:d=3:s=1"))
+        assert freed_at_start == [True]
+        assert build_triple(parse_tag("cr:q=5:d=3:s=1")) is other
+        again = build_triple(parse_tag(self.TAG))
+        assert again.provenance.tag == self.TAG
+        assert build_triple(parse_tag("cr:q=5:d=3:s=1")) is not other
+
+    @pytest.mark.parametrize(
+        "tag",
+        [
+            "cr:q=1009:d=2:s=1",  # refused on its vertex count
+            "cr:q=6:d=2:s=1",  # no field of order 6
+            "star:cr:q=7:d=3:s=1",  # the inner triple builds, the star fails
+        ],
+    )
+    def test_failing_tag_raises_every_time_and_keeps_nothing(self, tag):
+        T = build_triple(parse_tag(self.TAG))
+        ref = weakref.ref(T.group)
+        del T
+        for _ in range(2):
+            with pytest.raises(SymquotError):
+                build_triple(parse_tag(tag))
+            assert constructions._kept == {}
+        gc.collect()
+        assert ref() is None
+
+    def test_star_tag_keeps_the_star_triple(self):
+        inner_tag = parse_tag("pair:group=s5:rule=all_distinct")
+        star_tag = Provenance("star", (), inner_tag)
+        S = build_triple(star_tag)
+        assert S.provenance == star_tag
+        assert build_triple(parse_tag(star_tag.tag)) is S
+        # the inner triple was not kept: asking for it builds it anew,
+        # with a lifted group of its own
+        inner = build_triple(inner_tag)
+        assert inner.provenance == inner_tag and inner.group is not S.group
+        assert inner.graph != S.graph
+        assert build_triple(star_tag) is not S

@@ -168,11 +168,12 @@ def assert_helpers_match(T):
 
 
 class _Bare:
-    """The graph and partition of a triple, which is all the label
-    helpers read."""
+    """The graph and partition of a triple, with its blocks' hit masks,
+    which is all the label helpers read."""
 
     def __init__(self, graph, partition):
         self.graph, self.partition = graph, partition
+        self.hits = [hit_mask(graph, blk) for blk in partition.blocks]
 
 
 @st.composite
