@@ -15,7 +15,7 @@ from .errors import (  # noqa: F401
     NotSelfPairedError,
     SymquotError,
 )
-from .ffield import FiniteField, FieldElement, ProjPoint, INFINITY, field, projective_line  # noqa: F401
+from .ffield import FiniteField, FieldElement, ProjPoint, INFINITY, field  # noqa: F401
 from .permgroup import Permutation, PermutationGroup  # noqa: F401
 from .groups_catalog import (  # noqa: F401
     GroupTag,
@@ -33,12 +33,8 @@ from .graphs import (  # noqa: F401
     Graph,
     Partition,
     StructureTag,
-    complete_graph,
-    complete_multipartite_graph,
     connected_components,
     cross_counts,
-    cycle_graph,
-    disjoint_union,
     graph_from_dimacs,
     graph_from_graph6,
     graph_from_json,
@@ -47,15 +43,12 @@ from .graphs import (  # noqa: F401
     graph_to_json,
     has_intra_block_edges,
     is_g_symmetric,
-    is_isomorphic,
     orbital_graph,
     quotient_graph,
     recognize_structure,
-    structure_graph,
 )
 from .designs import (  # noqa: F401
     DesignParams,
-    Flag,
     IncidenceStructure,
     ag_design,
     design_3_12_6_2,
@@ -78,8 +71,6 @@ from .constructions import (  # noqa: F401
     Provenance,
     Triple,
     cross_ratio_graph,
-    design_in,
-    design_out,
     flag_graph,
     matching_graph,
     pair_graph,

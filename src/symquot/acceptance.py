@@ -39,7 +39,7 @@ from .errors import (
     NotSelfPairedError,
     SymquotError,
 )
-from .graphs import StructureTag, connected_components, recognize_structure
+from .graphs import StructureTag, connected_components
 from .groups_catalog import _field_for, agl, mathieu, z24_a7
 
 BUDGET_SECONDS = {
@@ -147,7 +147,7 @@ def _criterion_1() -> list[str]:
         ("cr3", StructureTag("DisjointCycles", (3, 4))),
         ("cr5", StructureTag("DisjointCompleteMultipartite", (5, 3, 2))),
     ):
-        got = recognize_structure(_triple(name).graph)
+        got = _triple(name).structure
         if got != want:
             fails.append(f"{name} has structure {got}, not {want}")
     return fails
@@ -201,7 +201,7 @@ def _criterion_4() -> list[str]:
     P = compute_params(T)
     if (P.v, P.b, P.r, P.k, P.t) != (7, 7, 6, 6, 1):
         fails.append(f"pair_plane_d3 params {P}, wanted (7,7,6,6,1)")
-    got = recognize_structure(T.graph)
+    got = T.structure
     if got != StructureTag("DisjointCompleteMultipartite", (7, 4, 2)):
         fails.append(f"pair_plane_d3 structure {got}")
 
@@ -216,7 +216,7 @@ def _criterion_4() -> list[str]:
     c = T.partition.block_count
     if c != 5 or P.b != c - 1:
         fails.append("pair_distinct_s5 quotient is not complete on 5 blocks")
-    star = recognize_structure(star_transform(T).graph)
+    star = star_transform(T).structure
     if star != StructureTag("DisjointComplete", (5, 4)):
         fails.append(f"pair_distinct_s5 star structure {star}")
 
@@ -227,7 +227,7 @@ def _criterion_4() -> list[str]:
     c = T.partition.block_count
     if c != 8 or P.b != c - 1:
         fails.append("flag_common_d3 quotient is not complete on 8 blocks")
-    star = recognize_structure(star_transform(T).graph)
+    star = star_transform(T).structure
     if star != StructureTag("DisjointComplete", (14, 4)):
         fails.append(f"flag_common_d3 star structure {star}")
     return fails
@@ -244,7 +244,7 @@ def _criterion_5() -> list[str]:
         ("flag_same_12", StructureTag("DisjointComplete", (22, 6))),
         ("flag_disjoint_12", StructureTag("DisjointCompleteBipartite", (11, 6))),
     ):
-        got = recognize_structure(_triple(name).graph)
+        got = _triple(name).structure
         if got != want:
             fails.append(f"{name} has structure {got}, not {want}")
     return fails

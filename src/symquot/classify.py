@@ -40,7 +40,6 @@ from .graphs import (
     cross_counts,
     has_intra_block_edges,
     is_g_symmetric,
-    recognize_structure,
 )
 from .groups_catalog import _field_for, three_transitive_pgammal_list
 from .permgroup import PermutationGroup
@@ -441,7 +440,7 @@ def classify_triple(T: Triple) -> ClassificationVerdict:
     triple outside every family signature is labelled ``"Unmatched"``.
     """
     report = verify_hypotheses(T)
-    structure = recognize_structure(T.graph)
+    structure = T.structure
     if not all(report.values()):
         return ClassificationVerdict(report, None, None, None, structure)
     try:

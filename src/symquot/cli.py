@@ -39,7 +39,6 @@ from .graphs import (
     graph_to_dimacs,
     graph_to_graph6,
     graph_to_json,
-    recognize_structure,
 )
 
 SCHEMA = "symquot/1"
@@ -68,7 +67,7 @@ def _cmd_construct(tag: Provenance, as_json: bool, out: IO[str]) -> int:
         "blocks": T.partition.block_count,
         "block_size": T.partition.uniform_block_size(),
         "quotient_edges": T.quotient.edge_count,
-        "structure": str(recognize_structure(g)),
+        "structure": str(T.structure),
         "group_order": T.group.order(),
     }
     if as_json:

@@ -3,10 +3,10 @@
 Each builder returns a Triple: the graph, a permutation group acting on its
 vertices, and the vertex partition the quotient collapses.  Vertices of the
 pair families are ordered distinct pairs of an underlying point set, in the
-lexicographic numbering of graphs.pair_index; flag families use the
-point-major flag order of IncidenceStructure.flags.  Builders verify the
-parameters they advertise (cross valency t and cross support k) on a
-sample block pair before returning.
+lexicographic numbering of graphs.pair_index; flag families number the
+flags (p, B) point-major, each point's blocks in block order.  Builders
+verify the parameters they advertise (cross valency t and cross support
+k) on a sample block pair before returning.
 
 Constructions are named by tags such as ``cr:q=5:d=4:s=1``: a kind word,
 then ``key=value`` fields, with ``star:`` wrapping any other tag.  This
@@ -33,6 +33,7 @@ from .ffield import FieldElement, FiniteField
 from .graphs import (
     Graph,
     Partition,
+    StructureTag,
     _bits,
     _rows,
     cross_counts,
@@ -40,6 +41,7 @@ from .graphs import (
     orbital_graph,
     pair_index,
     quotient_graph,
+    recognize_structure,
 )
 from .groups_catalog import (
     GroupTag,
@@ -80,9 +82,12 @@ class Provenance(NamedTuple):
 
 class Triple:
     """A graph with the group and block partition it is symmetric over.
-    Read-only; its blocks' hit masks and its quotient are kept once used."""
+    Read-only; its blocks' hit masks, its quotient and its shape are kept
+    once used."""
 
-    __slots__ = ("graph", "group", "partition", "provenance", "_hits", "_quotient")
+    __slots__ = (
+        "graph", "group", "partition", "provenance", "_hits", "_quotient", "_structure"
+    )
 
     def __init__(
         self,
@@ -99,7 +104,7 @@ class Triple:
         self.group = group
         self.partition = partition
         self.provenance = provenance
-        self._hits = self._quotient = None
+        self._hits = self._quotient = self._structure = None
 
     @property
     def hits(self) -> list[int]:
@@ -112,6 +117,12 @@ class Triple:
         if self._quotient is None:
             self._quotient = quotient_graph(self.graph, self.partition, self.hits)
         return self._quotient
+
+    @property
+    def structure(self) -> StructureTag:
+        if self._structure is None:
+            self._structure = recognize_structure(self.graph)
+        return self._structure
 
     def __repr__(self) -> str:
         return f"Triple({self.provenance.tag}, n={self.graph.n})"
@@ -126,14 +137,6 @@ SAME_SECOND = PairRule("same_second")
 ALL_DISTINCT = PairRule("all_distinct")
 AFFINE_PLANE = PairRule("affine_plane")
 AFFINE_NON_PLANE = PairRule("affine_non_plane")
-
-
-def design_in(D: IncidenceStructure) -> PairRule:
-    return PairRule("design_in", D)
-
-
-def design_out(D: IncidenceStructure) -> PairRule:
-    return PairRule("design_out", D)
 
 
 class FlagRule(NamedTuple):
@@ -578,6 +581,9 @@ def parse_tag(text: str) -> Provenance:
             raise TagError(f"duplicate key {key!r} at offset {pos}")
         if key in _INT_KEYS:
             try:
+                # int() would also take a sign, spaces, "_" and other scripts' digits
+                if not (val.isascii() and val.isdigit()):
+                    raise ValueError
                 val = str(int(val))
             except ValueError:
                 raise TagError(
@@ -635,7 +641,7 @@ def _token_spec(
 ) -> tuple[Optional[int], Callable]:
     """(count, builder) from the first row of ``table`` matching ``token``."""
     for pattern, count, build in table:
-        m = re.fullmatch(pattern, token)
+        m = re.fullmatch(pattern, token, re.ASCII)
         if m:
             try:
                 args = [int(x) for x in m.groups()]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DesignError
 from .ffield import field
@@ -67,27 +67,6 @@ class DesignParams:
             f"DesignParams(v={self.v}, b={self.b}, r={self.r}, k={self.k}, "
             f"lambdas={list(self.lambdas)}, rho={self.rho})"
         )
-
-
-class Flag:
-    __slots__ = ("point", "block")
-
-    def __init__(self, point: int, block: int):
-        self.point = point
-        self.block = block
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Flag)
-            and other.point == self.point
-            and other.block == self.block
-        )
-
-    def __hash__(self):
-        return hash((self.point, self.block))
-
-    def __repr__(self):
-        return f"Flag({self.point}, {self.block})"
 
 
 class IncidenceStructure:
@@ -149,55 +128,6 @@ class IncidenceStructure:
         rho = mvals.pop() if len(mvals) == 1 else None
         return self.v, self.b, r, k, tuple(lambdas), rho
 
-    def derived(self, point: int) -> "IncidenceStructure":
-        """Blocks through the point, with the point deleted and the rest
-        renumbered to stay 0-based."""
-        if not 0 <= point < self.v:
-            raise DesignError("point out of range")
-        relabel = lambda x: x if x < point else x - 1
-        out = [
-            tuple(relabel(x) for x in blk if x != point)
-            for blk in self.blocks
-            if point in blk
-        ]
-        if not out:
-            raise DesignError(f"point {point} lies in no block")
-        if any(not blk for blk in out):
-            raise DesignError("derived block would be empty")
-        return IncidenceStructure(self.v - 1, out)
-
-    def dual(self) -> "IncidenceStructure":
-        if len(set(self.blocks)) != len(self.blocks):
-            raise DesignError("dual undefined: repeated blocks")
-        if not self.blocks:
-            raise DesignError("structure has no blocks")
-        new_blocks = []
-        for p in range(self.v):
-            incident = tuple(i for i, blk in enumerate(self.blocks) if p in blk)
-            if not incident:
-                raise DesignError(f"point {p} lies in no block")
-            new_blocks.append(incident)
-        return IncidenceStructure(self.b, new_blocks)
-
-    def complement(self) -> "IncidenceStructure":
-        full = set(range(self.v))
-        out = []
-        for blk in self.blocks:
-            comp = tuple(sorted(full - set(blk)))
-            if not comp:
-                raise DesignError("a block covers every point; no complement")
-            out.append(comp)
-        return IncidenceStructure(self.v, out)
-
-    def flags(self) -> list[Flag]:
-        """Incident (point, block) pairs, point-major."""
-        out = []
-        for p in range(self.v):
-            for i, blk in enumerate(self.blocks):
-                if p in blk:
-                    out.append(Flag(p, i))
-        return out
-
     def preserves(self, g: Permutation) -> bool:
         if g.degree != self.v:
             raise DesignError("permutation degree != point count")
@@ -206,10 +136,6 @@ class IncidenceStructure:
 
     def as_json(self) -> dict:
         return {"v": self.v, "blocks": [list(blk) for blk in self.blocks]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "IncidenceStructure":
-        return cls(data["v"], data["blocks"])
 
     def __eq__(self, other):
         return (
@@ -239,6 +165,20 @@ def _subsets(items: tuple[int, ...], t: int):
         idx[pos] += 1
         for later in range(pos + 1, t):
             idx[later] = idx[later - 1] + 1
+
+
+def set_orbit(points: Iterable[int], gens: Sequence[Sequence[int]]) -> set[frozenset]:
+    """The orbit of a point set under generators given as image tuples."""
+    orbit = {frozenset(points)}
+    queue = list(orbit)
+    while queue:
+        cur = queue.pop()
+        for g in gens:
+            img = frozenset(g[x] for x in cur)
+            if img not in orbit:
+                orbit.add(img)
+                queue.append(img)
+    return orbit
 
 
 def design_from_partition(graph, partition, block_index: int) -> IncidenceStructure:
@@ -363,16 +303,7 @@ def steiner_3_22_6() -> IncidenceStructure:
         pt_index[_pg2_4_normalize(p)] for p in conic + [(zero, one, zero), (zero, zero, one)]
     )
 
-    gens = _psl3_4_point_perms(F, pts, pt_index)
-    orbit = {oval}
-    queue = [oval]
-    while queue:
-        cur = queue.pop()
-        for g in gens:
-            img = frozenset(g[x] for x in cur)
-            if img not in orbit:
-                orbit.add(img)
-                queue.append(img)
+    orbit = set_orbit(oval, _psl3_4_point_perms(F, pts, pt_index))
     if len(orbit) != 56:
         raise DesignError(f"hyperoval orbit has length {len(orbit)}, expected 56")
 

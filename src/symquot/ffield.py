@@ -244,11 +244,6 @@ class FiniteField:
     def __len__(self) -> int:
         return self.order
 
-    @property
-    def gen(self) -> FieldElement:
-        """The polynomial-basis generator x (only meaningful for n > 1)."""
-        return self.element(self.p)
-
     def subfield_degree(self, d: FieldElement) -> int:
         """Least s >= 1 dividing n with d^(p^s) = d, i.e. d generates GF(p^s)."""
         if d.field is not self:
@@ -332,9 +327,3 @@ class ProjPoint:
 
 
 INFINITY = ProjPoint(None)
-
-
-def projective_line(F: FiniteField) -> list[ProjPoint]:
-    """All q+1 points in canonical label order: infinity first, then field
-    elements in enumeration order."""
-    return [INFINITY] + [ProjPoint(x) for x in F]

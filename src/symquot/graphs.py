@@ -17,8 +17,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import GraphError, NotSelfPairedError
 from .permgroup import PermutationGroup
 
-ISO_CAP = 256
-
 
 class Graph:
     """Undirected loop-free graph on vertices 0..n-1: bitset rows for mask
@@ -86,12 +84,6 @@ class Graph:
         if len(degrees) != 1:
             raise GraphError("graph is not regular")
         return degrees.pop()
-
-    def is_regular(self) -> bool:
-        return len(set(map(len, self.nbrs))) == 1
-
-    def neighbors(self, u: int) -> list[int]:
-        return list(self.nbrs[u])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -191,82 +183,6 @@ class StructureTag(NamedTuple):
 OTHER = StructureTag("Other")
 
 
-def disjoint_complete(c: int, m: int) -> StructureTag:
-    return StructureTag("DisjointComplete", (c, m))
-
-
-def disjoint_complete_bipartite(c: int, m: int) -> StructureTag:
-    return StructureTag("DisjointCompleteBipartite", (c, m))
-
-
-def disjoint_complete_multipartite(c: int, a: int, b: int) -> StructureTag:
-    return StructureTag("DisjointCompleteMultipartite", (c, a, b))
-
-
-def disjoint_cycles(c: int, m: int) -> StructureTag:
-    return StructureTag("DisjointCycles", (c, m))
-
-
-# ---------------------------------------------------------------------------
-# Construction helpers.
-
-def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, [full ^ (1 << u) for u in range(n)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("cycles need at least three vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_multipartite_graph(parts: Sequence[int]) -> Graph:
-    """Complete multipartite graph with the given part sizes, parts laid out
-    consecutively from vertex 0."""
-    if not parts or any(p < 1 for p in parts):
-        raise GraphError("part sizes must be positive")
-    n = sum(parts)
-    rows = []
-    start = 0
-    full = (1 << n) - 1
-    for size in parts:
-        mask = ((1 << size) - 1) << start
-        rows.extend(full ^ mask for _ in range(size))
-        start += size
-    return Graph(n, rows)
-
-
-def disjoint_union(graphs: Sequence[Graph]) -> Graph:
-    if not graphs:
-        raise GraphError("need at least one graph")
-    n = sum(g.n for g in graphs)
-    rows = []
-    shift = 0
-    for g in graphs:
-        rows.extend(r << shift for r in g.adj)
-        shift += g.n
-    return Graph(n, rows)
-
-
-def structure_graph(tag: StructureTag) -> Graph:
-    """A concrete graph with the tagged shape (Other has none)."""
-    kind = tag.kind
-    if kind == "DisjointComplete":
-        c, m = tag.params
-        return disjoint_union([complete_graph(m)] * c)
-    if kind == "DisjointCompleteBipartite":
-        c, m = tag.params
-        return disjoint_union([complete_multipartite_graph([m, m])] * c)
-    if kind == "DisjointCompleteMultipartite":
-        c, a, b = tag.params
-        return disjoint_union([complete_multipartite_graph([b] * a)] * c)
-    if kind == "DisjointCycles":
-        c, m = tag.params
-        return disjoint_union([cycle_graph(m)] * c)
-    raise GraphError(f"no concrete graph for tag {tag}")
-
-
 # ---------------------------------------------------------------------------
 # Pair-domain vertex numbering: ordered pairs (i, j), i != j, of an m-point
 # domain in lexicographic order with the diagonal compressed out.
@@ -275,13 +191,6 @@ def pair_index(m: int, i: int, j: int) -> int:
     if i == j or not (0 <= i < m and 0 <= j < m):
         raise GraphError(f"({i},{j}) is not an ordered pair of distinct points")
     return i * (m - 1) + j - (1 if j > i else 0)
-
-
-def pair_from_index(m: int, idx: int) -> tuple[int, int]:
-    if not 0 <= idx < m * (m - 1):
-        raise GraphError(f"pair index {idx} out of range")
-    i, r = divmod(idx, m - 1)
-    return i, r + 1 if r >= i else r
 
 
 # ---------------------------------------------------------------------------
@@ -434,60 +343,6 @@ def recognize_structure(g: Graph) -> StructureTag:
     if shape is None:
         return OTHER
     return StructureTag(shape[0], (len(comps),) + shape[1:])
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism for small graphs.
-
-def _refine_colors(g: Graph) -> list[int]:
-    colors = [g.degree(u) for u in range(g.n)]
-    while True:
-        sigs = [
-            (colors[u], tuple(sorted(colors[v] for v in g.nbrs[u])))
-            for u in range(g.n)
-        ]
-        canon = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        fresh = [canon[s] for s in sigs]
-        if fresh == colors:
-            return colors
-        colors = fresh
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n > ISO_CAP or g2.n > ISO_CAP:
-        raise GraphError(f"isomorphism test capped at {ISO_CAP} vertices")
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    c1, c2 = _refine_colors(g1), _refine_colors(g2)
-    if sorted(c1) != sorted(c2):
-        return False
-    n = g1.n
-    order = sorted(range(n), key=lambda u: (c1.count(c1[u]), u))
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        u = order[k]
-        for v in range(n):
-            if used[v] or c2[v] != c1[u]:
-                continue
-            fine = True
-            for w in order[:k]:
-                if g1.has_edge(u, w) != g2.has_edge(v, image[w]):
-                    fine = False
-                    break
-            if fine:
-                image[u] = v
-                used[v] = True
-                if extend(k + 1):
-                    return True
-                used[v] = False
-                image[u] = -1
-        return False
-
-    return extend(0)
 
 
 def is_g_symmetric(g: Graph, G: PermutationGroup) -> bool:

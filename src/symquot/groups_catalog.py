@@ -17,7 +17,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .designs import design_3_12_6_2, steiner_3_22_6
+from .designs import design_3_12_6_2, set_orbit, steiner_3_22_6
 from .errors import CatalogError
 from .ffield import INFINITY, FiniteField, ProjPoint, field
 from .permgroup import Permutation, PermutationGroup
@@ -377,16 +377,7 @@ def mathieu(tag: str) -> PermutationGroup:
         D = design_3_12_6_2()
         if not all(D.preserves(g) for g in G.generators):
             raise CatalogError(f"{tag} does not preserve its 12-point design")
-        blk = set(D.blocks[0])
-        orbit = {frozenset(blk)}
-        queue = [frozenset(blk)]
-        while queue:
-            cur = queue.pop()
-            for g in G.generators:
-                img = frozenset(g(x) for x in cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
+        orbit = set_orbit(D.blocks[0], [g.images for g in G.generators])
         if len(orbit) != 22 or orbit != {frozenset(b) for b in D.blocks}:
             raise CatalogError("M11on12 block orbit does not recover the design")
     return G

@@ -26,7 +26,7 @@ whole domain for suborbits.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import GroupError
 
@@ -83,10 +83,6 @@ class Permutation:
         self.images = images
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         images = list(range(n))
         for cyc in cycles:
@@ -109,18 +105,6 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         return Permutation(_inv(self.images))
-
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
@@ -372,17 +356,6 @@ class PermutationGroup:
                     queue.append(w)
         return tree
 
-    def orbits(self) -> list[list[int]]:
-        seen = [False] * self.degree
-        out = []
-        for x in range(self.degree):
-            if not seen[x]:
-                orb = self.orbit(x)
-                for y in orb:
-                    seen[y] = True
-                out.append(orb)
-        return out
-
     def is_transitive(self) -> bool:
         return self.degree == 0 or len(self.orbit(0)) == self.degree
 
@@ -534,25 +507,6 @@ class PermutationGroup:
             if fi % 8 == 0 and grow(bwd, bq, fwd, fi // 8):
                 return True
         return False
-
-    def elements(self) -> Iterator[Permutation]:
-        """All group elements (deterministic order); intended for small groups."""
-        levels = self.chain.levels
-        if not levels:
-            yield Permutation.identity(self.degree)
-            return
-
-        def rec(i: int) -> Iterator[tuple[int, ...]]:
-            if i == len(levels):
-                yield tuple(range(self.degree))
-                return
-            for pt in sorted(levels[i].transversal):
-                rep = levels[i].transversal[pt][0]
-                for tail in rec(i + 1):
-                    yield _mul(tail, rep)
-
-        for images in rec(0):
-            yield Permutation(images)
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, gens={len(self.generators)})"

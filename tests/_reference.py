@@ -1,0 +1,87 @@
+"""Test-only helpers: graphs of known shape, pair decoding and group
+enumeration, used as fixtures and brute-force references."""
+
+from typing import Iterator, Sequence
+
+from symquot.errors import GraphError
+from symquot.graphs import Graph, StructureTag
+from symquot.permgroup import Permutation, PermutationGroup, _mul
+
+
+def complete_graph(n: int) -> Graph:
+    full = (1 << n) - 1
+    return Graph(n, [full ^ (1 << u) for u in range(n)])
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise GraphError("cycles need at least three vertices")
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_multipartite_graph(parts: Sequence[int]) -> Graph:
+    """Parts laid out consecutively from vertex 0."""
+    if not parts or any(p < 1 for p in parts):
+        raise GraphError("part sizes must be positive")
+    full = (1 << sum(parts)) - 1
+    rows, start = [], 0
+    for size in parts:
+        rows.extend([full ^ ((1 << size) - 1) << start] * size)
+        start += size
+    return Graph(sum(parts), rows)
+
+
+def disjoint_union(graphs: Sequence[Graph]) -> Graph:
+    rows, shift = [], 0
+    for g in graphs:
+        rows.extend(r << shift for r in g.adj)
+        shift += g.n
+    return Graph(shift, rows)
+
+
+def _tag(kind: str):
+    return lambda *params: StructureTag(kind, params)
+
+
+disjoint_complete = _tag("DisjointComplete")
+disjoint_complete_bipartite = _tag("DisjointCompleteBipartite")
+disjoint_complete_multipartite = _tag("DisjointCompleteMultipartite")
+disjoint_cycles = _tag("DisjointCycles")
+
+
+def structure_graph(tag: StructureTag) -> Graph:
+    """A concrete graph with the tagged shape (Other has none)."""
+    c, *rest = tag.params or (0,)
+    part = {
+        "DisjointComplete": lambda m: complete_graph(m),
+        "DisjointCompleteBipartite": lambda m: complete_multipartite_graph([m, m]),
+        "DisjointCompleteMultipartite": lambda a, b: complete_multipartite_graph([b] * a),
+        "DisjointCycles": lambda m: cycle_graph(m),
+    }.get(tag.kind)
+    if part is None:
+        raise GraphError(f"no concrete graph for tag {tag}")
+    return disjoint_union([part(*rest)] * c)
+
+
+def pair_from_index(m: int, idx: int) -> tuple[int, int]:
+    """The ordered pair that graphs.pair_index numbers idx."""
+    if not 0 <= idx < m * (m - 1):
+        raise GraphError(f"pair index {idx} out of range")
+    i, r = divmod(idx, m - 1)
+    return i, r + 1 if r >= i else r
+
+
+def elements(G: PermutationGroup) -> Iterator[Permutation]:
+    """Every element of G, in an order fixed by its stabilizer chain."""
+    levels = G.chain.levels
+
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(levels):
+            yield tuple(range(G.degree))
+            return
+        for pt in sorted(levels[i].transversal):
+            rep = levels[i].transversal[pt][0]
+            for tail in rec(i + 1):
+                yield _mul(tail, rep)
+
+    return map(Permutation, rec(0))

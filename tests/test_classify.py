@@ -29,11 +29,10 @@ from symquot.constructions import (
     OPPOSITE_NON_COMPLEMENT,
     SAME_BLOCK,
     SAME_SECOND,
+    PairRule,
     Provenance,
     Triple,
     cross_ratio_graph,
-    design_in,
-    design_out,
     flag_graph,
     matching_graph,
     pair_action,
@@ -383,9 +382,9 @@ class TestClassifyTriple:
         assert V.theorem_case == expected
 
     def test_twelve_point_pair_rules(self, twelve, m11):
-        V = classify_triple(pair_graph(m11, design_out(twelve)))
+        V = classify_triple(pair_graph(m11, PairRule("design_out", twelve)))
         assert V.theorem_case == "1.2(b)(iii.1)" and V.params.t == 3
-        V = classify_triple(pair_graph(m11, design_in(twelve)))
+        V = classify_triple(pair_graph(m11, PairRule("design_in", twelve)))
         assert V.theorem_case == "1.2(b)(iii.2)" and V.params.t == 6
 
     def test_star_of_same_second(self, s4):

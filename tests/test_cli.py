@@ -255,6 +255,16 @@ class TestExitCodes:
         (("construct", "flag:design=nope:group=s5:rule=same_block"), 1),
         (("construct", "cr:q=6:d=2:s=1"), 1),
         (("census", "--max-q", "99", "--max-d", "2"), 1),
+        # tag integers are ASCII decimal digits only, unlike int()
+        (("construct", "cr:q=4_9:d=16:s=1"), 2),
+        (("construct", "cr:q=+4:d=2:s=1"), 2),
+        (("construct", "cr:q= 4:d=2:s=1"), 2),
+        (("construct", "cr:q=4:d=\uff12:s=1"), 2),
+        (("construct", "cr:q=4:d=2:s=\u0661"), 2),
+        # and so are the numbers inside group and design tokens
+        (("construct", "pair:group=s\u0665:rule=all_distinct"), 1),
+        (("construct", "match:group=pgl2_q\uff17"), 1),
+        (("construct", "flag:design=ag_d\u0663:group=agl_d3:rule=same_block"), 1),
     ]
 
     @pytest.mark.parametrize("argv,want", CASES, ids=[" ".join(c[0]) for c in CASES])
@@ -262,7 +272,7 @@ class TestExitCodes:
         code, out, err = invoke(*argv)
         assert code == want
         assert out == ""
-        assert err.startswith("symquot: ")
+        assert err.startswith("symquot: ") and err.count("\n") == 1
 
     OVERSIZE = [
         "match:group=s200",
@@ -349,7 +359,7 @@ class TestExitCodes:
         from symquot.constructions import _design_spec
 
         flags, build = _design_spec(token)
-        assert flags == len(build().flags())
+        assert flags == sum(len(b) for b in build().blocks)
 
     def test_overlong_group_number_is_a_domain_error(self):
         code, out, err = invoke("construct", "match:group=s" + "9" * 5000)
@@ -417,3 +427,19 @@ def test_shared_triple_prints_what_fresh_builds_print(tag, reverse):
     shared += [invoke(verb, tag, *flags) for verb, *flags in verbs[1:]]
     assert build_triple(parse_tag(tag)) is kept
     assert shared == fresh
+
+
+def test_structure_recognized_once_per_triple(monkeypatch):
+    """construct and classify of one tag read the kept triple's shape."""
+    from symquot.graphs import recognize_structure
+
+    calls = []
+    monkeypatch.setattr(
+        constructions, "recognize_structure", lambda g: calls.append(g) or recognize_structure(g)
+    )
+    constructions._kept.clear()
+    for verb in ("construct", "classify", "construct"):
+        assert invoke(verb, "cr:q=5:d=4:s=1", "--json")[0] == 0
+    T = build_triple(parse_tag("cr:q=5:d=4:s=1"))
+    assert calls == [T.graph]
+    assert T.structure is T.structure == recognize_structure(T.graph)

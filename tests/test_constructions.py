@@ -23,8 +23,6 @@ from symquot.constructions import (
     Triple,
     build_triple,
     cross_ratio_graph,
-    design_in,
-    design_out,
     flag_graph,
     matching_graph,
     pair_action,
@@ -44,14 +42,14 @@ from symquot.errors import ConstructionError, NotSelfPairedError, SymquotError
 from symquot.ffield import field
 from symquot.graphs import (
     connected_components,
-    is_isomorphic,
-    pair_from_index,
     pair_index,
     quotient_graph,
     recognize_structure,
 )
 from symquot.groups_catalog import agl, mathieu, pgl2, sym_alt
 from symquot.permgroup import LiftedGroup, Permutation, PermutationGroup
+
+from _reference import pair_from_index
 
 
 def measure(triple):
@@ -273,7 +271,7 @@ class TestCrossRatio:
         T = cross_ratio_graph(4, 2, 1)
         P = pair_graph(sym_alt(5, False), ALL_DISTINCT)
         assert T.group.order() == 120
-        assert is_isomorphic(T.graph, P.graph)
+        assert T.graph == P.graph
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConstructionError):
@@ -371,8 +369,8 @@ class TestPairRules:
     def test_design_rules_on_twelve_points(self):
         D = design_3_12_6_2()
         G = mathieu("M11on12")
-        inside = pair_graph(G, design_in(D), group_label="mathieu:M11on12")
-        outside = pair_graph(G, design_out(D))
+        inside = pair_graph(G, PairRule("design_in", D), group_label="mathieu:M11on12")
+        outside = pair_graph(G, PairRule("design_out", D))
         assert measure(inside) == (11, 11, 10, 6)
         assert measure(outside) == (11, 11, 10, 3)
         assert "design=v12b22" in inside.provenance.tag
@@ -387,11 +385,11 @@ class TestPairRules:
         )
         G = sym_alt(7, False)
         with pytest.raises(ConstructionError):
-            pair_graph(G, design_in(fano))
+            pair_graph(G, PairRule("design_in", fano))
 
     def test_design_rule_needs_matching_degree(self):
         with pytest.raises(ConstructionError):
-            pair_graph(sym_alt(5, False), design_in(design_3_12_6_2()))
+            pair_graph(sym_alt(5, False), PairRule("design_in", design_3_12_6_2()))
 
     def test_unknown_rule(self):
         with pytest.raises(ConstructionError):

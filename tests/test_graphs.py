@@ -15,16 +15,8 @@ from symquot.graphs import (
     Graph,
     Partition,
     _bits,
-    complete_graph,
-    complete_multipartite_graph,
     connected_components,
     cross_counts,
-    cycle_graph,
-    disjoint_complete,
-    disjoint_complete_bipartite,
-    disjoint_complete_multipartite,
-    disjoint_cycles,
-    disjoint_union,
     graph_from_dimacs,
     graph_from_graph6,
     graph_from_json,
@@ -33,16 +25,27 @@ from symquot.graphs import (
     graph_to_json,
     has_intra_block_edges,
     is_g_symmetric,
-    is_isomorphic,
     orbital_graph,
-    pair_from_index,
     pair_index,
     quotient_graph,
     recognize_structure,
-    structure_graph,
 )
 from symquot.groups_catalog import sym_alt
 from symquot.permgroup import Permutation, PermutationGroup
+
+from _reference import (
+    complete_graph,
+    complete_multipartite_graph,
+    cycle_graph,
+    disjoint_complete,
+    disjoint_complete_bipartite,
+    disjoint_complete_multipartite,
+    disjoint_cycles,
+    disjoint_union,
+    elements,
+    pair_from_index,
+    structure_graph,
+)
 
 
 class TestGraphBasics:
@@ -74,7 +77,6 @@ class TestGraphBasics:
 
     def test_valency_on_irregular(self):
         g = Graph.from_edges(3, [(0, 1)])
-        assert not g.is_regular()
         with pytest.raises(GraphError):
             g.valency()
 
@@ -252,7 +254,6 @@ class TestRecognition:
     def test_reconstruction_closes(self, tag):
         g = structure_graph(tag)
         assert recognize_structure(g) == tag
-        assert is_isomorphic(g, structure_graph(recognize_structure(g)))
 
     def test_other_has_no_reconstruction(self):
         with pytest.raises(GraphError):
@@ -261,34 +262,6 @@ class TestRecognition:
     def test_tag_rendering(self):
         assert str(disjoint_cycles(3, 4)) == "DisjointCycles(3,4)"
         assert str(OTHER) == "Other"
-
-
-class TestIsomorphism:
-    def test_cycle_against_split_cycles(self):
-        assert not is_isomorphic(cycle_graph(6), disjoint_union([cycle_graph(3)] * 2))
-
-    def test_relabeled_petersen(self):
-        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6),
-                 (2, 7), (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
-        g1 = Graph.from_edges(10, edges)
-        relabel = [3, 5, 0, 9, 7, 1, 8, 2, 6, 4]
-        g2 = Graph.from_edges(10, [(relabel[u], relabel[v]) for u, v in edges])
-        assert is_isomorphic(g1, g2)
-
-    def test_degree_sequence_mismatch(self):
-        assert not is_isomorphic(complete_graph(4), cycle_graph(4))
-
-    def test_same_degrees_different_structure(self):
-        # both cubic on 6 vertices
-        k33 = complete_multipartite_graph([3, 3])
-        prism = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
-                                     (5, 3), (0, 3), (1, 4), (2, 5)])
-        assert not is_isomorphic(k33, prism)
-
-    def test_size_cap(self):
-        big = Graph(300, [0] * 300)
-        with pytest.raises(GraphError):
-            is_isomorphic(big, big)
 
 
 class TestSymmetryCheck:
@@ -408,15 +381,6 @@ def _graphs(draw):
         )
     )
     return Graph.from_edges(n, list(edges))
-
-
-@settings(max_examples=60, deadline=None)
-@given(_graphs(), st.randoms(use_true_random=False))
-def test_relabeling_preserves_isomorphism(g, rng):
-    order = list(range(g.n))
-    rng.shuffle(order)
-    h = Graph.from_edges(g.n, [(order[u], order[v]) for u, v in g.edges()])
-    assert is_isomorphic(g, h)
 
 
 @settings(max_examples=60, deadline=None)
@@ -552,17 +516,17 @@ def test_bad_edges_still_raise(edges, message):
 
 def _symmetric_by_elements(g, G):
     """is_g_symmetric by brute force over every group element."""
-    elements = [p.images for p in G.elements()]
+    group = [p.images for p in elements(G)]
     arcs = {(u, v) for u in range(g.n) for v in range(g.n) if g.has_edge(u, v)}
-    for im in elements:
+    for im in group:
         if {(im[u], im[v]) for u, v in arcs} != arcs:
             return False
-    if {im[0] for im in elements} != set(range(g.n)):
+    if {im[0] for im in group} != set(range(g.n)):
         return False
     if not arcs:
         return True
     u0, v0 = min(arcs)
-    return {(im[u0], im[v0]) for im in elements} == arcs
+    return {(im[u0], im[v0]) for im in group} == arcs
 
 
 def _block_sizes(n):

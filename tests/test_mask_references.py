@@ -39,9 +39,11 @@ from symquot.designs import (
     steiner_3_22_6,
 )
 from symquot.errors import DesignError
-from symquot.graphs import Graph, Partition, hit_mask, pair_from_index, pair_index
+from symquot.graphs import Graph, Partition, hit_mask, pair_index
 from symquot.groups_catalog import agl, mathieu, sym_alt
 from symquot.permgroup import Permutation, PermutationGroup
+
+from _reference import pair_from_index
 
 # ---------------------------------------------------------------------------
 # References: one vertex, arc, pair or flag at a time.
