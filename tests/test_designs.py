@@ -112,6 +112,82 @@ class TestConstruction:
         assert IncidenceStructure(**FANO.as_json()) == FANO
 
 
+def _through(D, x):
+    """The blocks through x, with x deleted and the points above it shifted down."""
+    return [[y - (y > x) for y in blk if y != x] for blk in D.blocks if x in blk]
+
+
+def _transposed(D):
+    """One block per point: the indices of the blocks through it."""
+    return [[j for j, blk in enumerate(D.blocks) if x in blk] for x in range(D.v)]
+
+
+def _complements(D):
+    return [sorted(set(range(D.v)) - set(blk)) for blk in D.blocks]
+
+
+class TestDerived:
+    def test_fano_point(self):
+        p = IncidenceStructure(6, _through(FANO, 0)).params()
+        assert (p.v, p.b, p.k, p.r) == (6, 3, 2, 1)
+
+    def test_relabeling_stays_zero_based(self):
+        kept = [[y for y in blk if y != 3] for blk in FANO.blocks if 3 in blk]
+        with pytest.raises(DesignError, match="not within"):
+            IncidenceStructure(6, kept)
+        sub = IncidenceStructure(6, _through(FANO, 3))
+        assert all(0 <= x < 6 for blk in sub.blocks for x in blk)
+
+    def test_isolated_point(self):
+        D = IncidenceStructure(3, [(0, 1)])
+        with pytest.raises(DesignError, match="no blocks"):
+            IncidenceStructure(2, _through(D, 2)).params()
+
+    def test_singleton_block(self):
+        D = IncidenceStructure(2, [(0,), (0, 1)])
+        with pytest.raises(DesignError, match="empty block"):
+            IncidenceStructure(1, _through(D, 0))
+
+
+class TestDual:
+    def test_fano_self_dual_parameters(self):
+        p = IncidenceStructure(FANO.b, _transposed(FANO)).params()
+        assert (p.v, p.b, p.r, p.k) == (7, 7, 3, 3)
+        assert p.lambda_t(2) == 1
+
+    def test_double_dual_is_identity(self):
+        dual = IncidenceStructure(FANO.b, _transposed(FANO))
+        assert IncidenceStructure(FANO.v, _transposed(dual)) == FANO
+
+    def test_uncovered_point_rejected(self):
+        D = IncidenceStructure(3, [(0, 1)])
+        with pytest.raises(DesignError, match="empty block"):
+            IncidenceStructure(D.b, _transposed(D))
+
+
+class TestComplement:
+    def test_fano_complement(self):
+        p = IncidenceStructure(7, _complements(FANO)).params()
+        assert (p.v, p.b, p.k) == (7, 7, 4)
+        assert p.lambda_t(2) == 2
+
+    def test_involution(self):
+        once = IncidenceStructure(7, _complements(FANO))
+        assert once != FANO
+        assert IncidenceStructure(7, _complements(once)) == FANO
+
+    def test_full_block_rejected(self):
+        D = IncidenceStructure(3, [(0, 1, 2)])
+        with pytest.raises(DesignError, match="empty block"):
+            IncidenceStructure(3, _complements(D))
+
+
+class TestFlags:
+    def test_count_is_point_degree_sum(self):
+        p = FANO.params()
+        assert sum(len(blk) for blk in FANO.blocks) == p.v * p.r == 21
+
+
 class TestPreserves:
     def test_cyclic_shift_fixes_fano(self):
         shift = Permutation([(i + 1) % 7 for i in range(7)])
@@ -242,6 +318,43 @@ def _structures():
         max_size=8,
     )
     return blocks.map(lambda bs: IncidenceStructure(6, [tuple(b) for b in bs]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_structures())
+def test_flag_count_matches_block_sizes(D):
+    degrees = [sum(x in blk for blk in D.blocks) for x in range(D.v)]
+    assert sum(degrees) == sum(len(blk) for blk in D.blocks)
+    p = D.params()
+    if p.r is not None:
+        assert degrees == [p.r] * D.v
+    if p.k is not None:
+        assert D.b * p.k == sum(degrees)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_structures())
+def test_complement_is_involution(D):
+    if any(len(b) == D.v for b in D.blocks):
+        return
+    C = IncidenceStructure(D.v, _complements(D))
+    assert IncidenceStructure(D.v, _complements(C)) == D
+    p, q = D.params(), C.params()
+    assert (q.v, q.b, q.rho) == (p.v, p.b, p.rho)
+    assert q.k == (None if p.k is None else D.v - p.k)
+    assert q.r == (None if p.r is None else D.b - p.r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_structures())
+def test_double_dual_restores(D):
+    covered = {x for b in D.blocks for x in b}
+    if covered != set(range(D.v)):
+        return
+    dual = IncidenceStructure(D.b, _transposed(D))
+    assert IncidenceStructure(D.v, _transposed(dual)) == D
+    p, q = D.params(), dual.params()
+    assert (q.v, q.b, q.r, q.k) == (p.b, p.v, p.k, p.r)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Graph container, recognizers, and serialization formats."""
 
+import itertools
 import math
 import random
 
@@ -264,6 +265,48 @@ class TestRecognition:
         assert str(OTHER) == "Other"
 
 
+class TestIsomorphism:
+    """Non-isomorphic graphs of one size get different shapes; a relabelled
+    graph keeps its symmetry under the relabelled group."""
+
+    def test_cycle_against_split_cycles(self):
+        assert recognize_structure(cycle_graph(6)) == disjoint_cycles(1, 6)
+        assert recognize_structure(disjoint_union([cycle_graph(3)] * 2)) == disjoint_complete(2, 3)
+
+    def test_relabeled_petersen(self):
+        # the Kneser graph on the 2-subsets of 0..4, with S5 acting on them
+        pairs = [frozenset(p) for p in itertools.combinations(range(5), 2)]
+        index = {p: i for i, p in enumerate(pairs)}
+        edges = [(index[a], index[b]) for a, b in itertools.combinations(pairs, 2) if not a & b]
+        relabel = [3, 5, 0, 9, 7, 1, 8, 2, 6, 4]
+        g = Graph.from_edges(10, [(relabel[u], relabel[v]) for u, v in edges])
+
+        def on_pairs(cycle):
+            s = Permutation.from_cycles(5, [cycle])
+            images = [0] * 10
+            for p, i in index.items():
+                images[relabel[i]] = relabel[index[frozenset(s(x) for x in p)]]
+            return Permutation(images)
+
+        G = PermutationGroup(10, [on_pairs((0, 1)), on_pairs((0, 1, 2, 3, 4))])
+        assert G.order() == 120
+        assert g.valency() == 3 and len(connected_components(g)) == 1
+        assert is_g_symmetric(g, G)
+        assert recognize_structure(g) == OTHER
+
+    def test_degree_sequence_mismatch(self):
+        assert recognize_structure(complete_graph(4)) == disjoint_complete(1, 4)
+        assert recognize_structure(cycle_graph(4)) == disjoint_cycles(1, 4)
+
+    def test_same_degrees_different_structure(self):
+        # both cubic on 6 vertices
+        k33 = complete_multipartite_graph([3, 3])
+        prism = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
+                                     (5, 3), (0, 3), (1, 4), (2, 5)])
+        assert recognize_structure(k33) == disjoint_complete_bipartite(1, 3)
+        assert recognize_structure(prism) == OTHER
+
+
 class TestSymmetryCheck:
     def test_complete_under_full_symmetric(self):
         assert is_g_symmetric(complete_graph(4), sym_alt(4, False))
@@ -381,6 +424,18 @@ def _graphs(draw):
         )
     )
     return Graph.from_edges(n, list(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs(), st.randoms(use_true_random=False))
+def test_relabeling_preserves_isomorphism(g, rng):
+    order = list(range(g.n))
+    rng.shuffle(order)
+    h = Graph.from_edges(g.n, [(order[u], order[v]) for u, v in g.edges()])
+    assert recognize_structure(h) == recognize_structure(g)
+    assert sorted(len(c) for c in connected_components(h)) == sorted(
+        len(c) for c in connected_components(g)
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,10 +40,12 @@ class TestPermutation:
         assert (a * b)(0) == 2
         assert (b * a)(0) == 1
 
-    def test_inverse(self):
+    def test_inverse_and_pow(self):
         g = P(5, [(0, 1, 2, 3, 4)])
         assert (g * g.inverse()).is_identity()
         assert g.inverse() == P(5, [(4, 3, 2, 1, 0)])
+        assert (g * g * g * g * g).is_identity()
+        assert (g * g).inverse() == g * g * g
 
     def test_order_and_sign(self):
         g = P(6, [(0, 1, 2), (3, 4)])
