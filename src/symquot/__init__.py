@@ -48,7 +48,6 @@ from .graphs import (  # noqa: F401
     recognize_structure,
 )
 from .designs import (  # noqa: F401
-    DesignParams,
     IncidenceStructure,
     ag_design,
     design_3_12_6_2,

@@ -359,9 +359,8 @@ def _criterion_9() -> list[str]:
             fails.append(f"{label} has order {got}, not {want}")
 
     D = steiner_3_22_6()
-    dp = D.params()
-    if D.b != 77 or dp.lambda_t(3) != 1:
-        fails.append(f"22-point design has b={D.b}, lambda_3={dp.lambdas}")
+    if D.b != 77 or D.lambda_t(3) != 1:
+        fails.append(f"22-point design has b={D.b}, lambda_3={D.lambda_t(3)}")
     beta = set(D.blocks[0])
     meets_two = sum(
         1 for blk in D.blocks[1:] if len(beta.intersection(blk)) == 2
@@ -394,15 +393,14 @@ def _criterion_9() -> list[str]:
         break
 
     H = design_3_12_6_2()
-    hp = H.params()
     blocks = set(H.blocks)
     closed = all(
         tuple(sorted(set(range(12)) - set(blk))) in blocks for blk in blocks
     )
-    if H.b != 22 or not closed or hp.lambda_t(3) != 2:
+    if H.b != 22 or not closed or H.lambda_t(3) != 2:
         fails.append(
             f"12-point design has b={H.b}, complement-closed={closed}, "
-            f"lambda_3={hp.lambdas}"
+            f"lambda_3={H.lambda_t(3)}"
         )
     return fails
 

@@ -23,14 +23,12 @@ patterns of the flag geometries that ``_geometry`` names.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .constructions import Triple, build_triple, group_token, parse_tag
-from .designs import IncidenceStructure, design_from_partition
+from .designs import design_from_partition
 from .errors import ClassificationError, SymquotError
 from .graphs import (
     Graph,
@@ -159,26 +157,6 @@ def verify_hypotheses(T: Triple) -> dict:
     }
 
 
-def _design_profile(
-    D: IncidenceStructure,
-) -> tuple[Optional[int], Optional[int], Optional[int]]:
-    # (r, lambda_2, rho) from one mask per point of the blocks through
-    # it: r is a popcount, lambda_2 that of a pair's AND.  params() walks
-    # subsets up to size five, far too wide when blocks hold dozens of
-    # points; the classifier never needs more than the pair count.
-    through = [0] * D.v
-    for bi, blk in enumerate(D.blocks):
-        for p in blk:
-            through[p] |= 1 << bi
-    vals = {m.bit_count() for m in through}
-    r = vals.pop() if len(vals) == 1 else None
-    pairs = {(m1 & m2).bit_count() for m1, m2 in itertools.combinations(through, 2)}
-    lam2 = max(pairs, default=0) if len(pairs) < 2 else None
-    mult = set(Counter(D.blocks).values())
-    rho = mult.pop() if len(mult) == 1 else None
-    return r, lam2, rho
-
-
 def compute_params(T: Triple) -> TripleParams:
     """Measure (v, b, s, t, m, r, k, lambda, rho) directly off the triple.
 
@@ -222,9 +200,8 @@ def compute_params(T: Triple) -> TripleParams:
     r = s // t
     if v * s != b * m or v * r != b * k:
         raise ClassificationError("counting identities vs = bm, vr = bk fail")
-    r_d, lam2, rho = _design_profile(design_from_partition(g, P, 0))
-    lam = lam2 if r_d is not None else None
-    return TripleParams(v=v, b=b, s=s, t=t, m=m, r=r, k=k, lam=lam, rho=rho)
+    D = design_from_partition(g, P, 0)
+    return TripleParams(v=v, b=b, s=s, t=t, m=m, r=r, k=k, lam=D.lambda_t(2), rho=D.rho)
 
 
 def corollary_case(P: TripleParams) -> str:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import IO, Optional
 
@@ -33,7 +34,13 @@ from .classify import (
     classify_triple,
     compute_params,
 )
-from .constructions import Provenance, TagError, build_triple, parse_tag
+from .constructions import (
+    Provenance,
+    TagError,
+    build_triple,
+    parse_decimal,
+    parse_tag,
+)
 from .errors import SymquotError
 from .graphs import (
     graph_to_dimacs,
@@ -205,8 +212,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("tag", help="construction tag, e.g. cr:q=5:d=4:s=1")
         sp.add_argument("--json", action="store_true", help="emit JSON")
     sp = sub.add_parser("census", help="replay every family inside caps")
-    sp.add_argument("--max-q", type=int, required=True)
-    sp.add_argument("--max-d", type=int, required=True)
+    sp.add_argument("--max-q", required=True)
+    sp.add_argument("--max-d", required=True)
     sp.add_argument("--json", action="store_true", help="emit JSON")
     sp = sub.add_parser("export", help="write the graph itself")
     sp.add_argument("tag")
@@ -230,17 +237,30 @@ def run(
         return int(exc.code or 0)
     try:
         if args.verb == "selftest":
-            return _cmd_selftest(out, err)
-        if args.verb == "census":
-            return _cmd_census(args.max_q, args.max_d, args.json, out)
-        tag = parse_tag(args.tag)
-        if args.verb == "construct":
-            return _cmd_construct(tag, args.json, out)
-        if args.verb == "params":
-            return _cmd_params(tag, args.json, out)
-        if args.verb == "classify":
-            return _cmd_classify(tag, args.json, out)
-        return _cmd_export(tag, args.format, args.output, out)
+            code = _cmd_selftest(out, err)
+        elif args.verb == "census":
+            max_q = parse_decimal(args.max_q, "--max-q")
+            max_d = parse_decimal(args.max_d, "--max-d")
+            code = _cmd_census(max_q, max_d, args.json, out)
+        elif args.verb == "export":
+            code = _cmd_export(parse_tag(args.tag), args.format, args.output, out)
+        else:
+            cmd = {
+                "construct": _cmd_construct,
+                "params": _cmd_params,
+                "classify": _cmd_classify,
+            }[args.verb]
+            code = cmd(parse_tag(args.tag), args.json, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: exit silently with 128 + SIGPIPE, as a
+        # writer the signal killed would.  Stdout now points at devnull, so
+        # the flush at exit has somewhere to put what is still buffered.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 141
     except TagError as exc:
         err.write(f"symquot: {exc}\n")
         return 2

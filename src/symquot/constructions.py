@@ -59,7 +59,8 @@ from .permgroup import DEGREE_CAP, LiftedGroup, PermutationGroup
 
 
 class TagError(Exception):
-    """A construction tag that does not fit the grammar."""
+    """A construction tag, or a number given on the command line, that
+    does not fit the grammar."""
 
 
 class Provenance(NamedTuple):
@@ -292,8 +293,7 @@ def pair_graph(
             raise ConstructionError(
                 f"design has {D.v} points but the group moves {m}"
             )
-        p = D.params()
-        if p.max_t < 3 or p.lambda_t(3) < 1:
+        if not D.lambda_t(3):
             raise ConstructionError("design must cover every point triple")
     elif rule.tag not in ("same_second", "all_distinct"):
         raise ConstructionError(f"unknown pair rule {rule.tag!r}")
@@ -380,8 +380,8 @@ def flag_graph(
                 )
             partners.append([c for c in range(D.b) if c != other])
     elif rule.tag in ("m22_disjoint", "m22_meet_two"):
-        p = D.params()
-        if (D.v, D.b, p.k) != (22, 77, 6) or p.lambda_t(3) != 1:
+        sizes = {len(blk) for blk in D.blocks}
+        if (D.v, D.b, sizes) != (22, 77, {6}) or D.lambda_t(3) != 1:
             raise ConstructionError(
                 f"{rule.tag} is specific to the 22-point triple system"
             )
@@ -556,6 +556,14 @@ _TAG_REQUIRED = {
 _INT_KEYS = ("q", "d", "s")
 
 
+def parse_decimal(text: str, what: str) -> int:
+    """ASCII decimal digits as an integer; int() would also take a sign,
+    spaces, "_" and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise TagError(f"{what} wants an integer, got {text!r}")
+    return int(text)
+
+
 def parse_tag(text: str) -> Provenance:
     """Parse a tag into canonical field order with integers normalized,
     raising TagError with the failing offset."""
@@ -580,15 +588,7 @@ def parse_tag(text: str) -> Provenance:
         if key in got:
             raise TagError(f"duplicate key {key!r} at offset {pos}")
         if key in _INT_KEYS:
-            try:
-                # int() would also take a sign, spaces, "_" and other scripts' digits
-                if not (val.isascii() and val.isdigit()):
-                    raise ValueError
-                val = str(int(val))
-            except ValueError:
-                raise TagError(
-                    f"key {key!r} wants an integer, got {val!r} (offset {pos})"
-                ) from None
+            val = str(parse_decimal(val, f"key {key!r} at offset {pos}"))
         got[key] = val
         pos += len(part) + 1
     missing = [k for k in _TAG_REQUIRED[head] if k not in got]

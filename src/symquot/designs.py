@@ -11,62 +11,14 @@ build, so callers share one object per design.
 
 from __future__ import annotations
 
-import math
+import itertools
 from collections import Counter
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DesignError
 from .ffield import field
 from .permgroup import Permutation
-
-MAX_LAMBDA_T = 5
-
-
-class DesignParams:
-    """Counted parameters of an incidence structure.
-
-    r and k are None when non-constant.  lambdas[i] is the number of blocks
-    through a typical (i+1)-subset, listed while that count stays constant
-    over all subsets (so lambdas[0] = r for constant r); rho is the common
-    block multiplicity, None if blocks repeat unevenly.
-    """
-
-    __slots__ = ("v", "b", "r", "k", "lambdas", "rho")
-
-    def __init__(self, v, b, r, k, lambdas, rho):
-        self.v = v
-        self.b = b
-        self.r = r
-        self.k = k
-        self.lambdas = tuple(lambdas)
-        self.rho = rho
-
-    @property
-    def max_t(self) -> int:
-        return len(self.lambdas)
-
-    def lambda_t(self, t: int) -> int:
-        if not 1 <= t <= len(self.lambdas):
-            raise DesignError(f"lambda_{t} is not constant for this structure")
-        return self.lambdas[t - 1]
-
-    def as_json(self) -> dict:
-        return {
-            "v": self.v,
-            "b": self.b,
-            "r": self.r,
-            "k": self.k,
-            "max_t": self.max_t,
-            "lambdas": list(self.lambdas),
-            "rho": self.rho,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"DesignParams(v={self.v}, b={self.b}, r={self.r}, k={self.k}, "
-            f"lambdas={list(self.lambdas)}, rho={self.rho})"
-        )
 
 
 class IncidenceStructure:
@@ -90,43 +42,35 @@ class IncidenceStructure:
     def b(self) -> int:
         return len(self.blocks)
 
-    def params(self) -> DesignParams:
-        """Counted once per structure; each call gets its own object."""
-        return DesignParams(*self._counted)
-
     @cached_property
-    def _counted(self) -> tuple:
-        if not self.blocks:
-            raise DesignError("structure has no blocks")
-        sizes = {len(blk) for blk in self.blocks}
-        k = sizes.pop() if len(sizes) == 1 else None
-        per_point = Counter()
-        for blk in self.blocks:
-            per_point.update(blk)
-        counts = {per_point.get(p, 0) for p in range(self.v)}
-        r = counts.pop() if len(counts) == 1 else None
+    def point_masks(self) -> tuple[int, ...]:
+        """Per point, the mask of the blocks through it (bit i = block i)."""
+        masks = [0] * self.v
+        for bi, blk in enumerate(self.blocks):
+            for p in blk:
+                masks[p] |= 1 << bi
+        return tuple(masks)
 
-        lambdas = []
-        for t in range(1, MAX_LAMBDA_T + 1):
-            cnt = Counter()
-            for blk in self.blocks:
-                if len(blk) >= t:
-                    for sub in _subsets(blk, t):
-                        cnt[sub] += 1
-            total = math.comb(self.v, t)
-            if not cnt:
-                lambdas.append(0)
-                continue
-            values = set(cnt.values())
-            if len(cnt) == total and len(values) == 1:
-                lambdas.append(values.pop())
-            else:
-                break
+    def lambda_t(self, t: int) -> Optional[int]:
+        """The number of blocks through every t-subset of points: the
+        popcount of the AND of their point masks, so lambda_1 = r.  None
+        when that count, or the count for any smaller subset size, varies;
+        0 when there are fewer than t points."""
+        masks = self.point_masks
+        level = [((1 << self.b) - 1, -1)]  # the empty subset: every block
+        counts = {self.b}
+        for _ in range(t):
+            level = [(m & masks[q], q) for m, p in level for q in range(p + 1, self.v)]
+            counts = {m.bit_count() for m, _ in level}
+            if len(counts) > 1:
+                return None
+        return counts.pop() if counts else 0
 
-        mult = Counter(self.blocks)
-        mvals = set(mult.values())
-        rho = mvals.pop() if len(mvals) == 1 else None
-        return self.v, self.b, r, k, tuple(lambdas), rho
+    @property
+    def rho(self) -> Optional[int]:
+        """The common multiplicity of the blocks; None if they repeat unevenly."""
+        mult = set(Counter(self.blocks).values())
+        return mult.pop() if len(mult) == 1 else None
 
     def preserves(self, g: Permutation) -> bool:
         if g.degree != self.v:
@@ -146,25 +90,6 @@ class IncidenceStructure:
 
     def __repr__(self):
         return f"IncidenceStructure(v={self.v}, b={self.b})"
-
-
-def _subsets(items: tuple[int, ...], t: int):
-    if t == 1:
-        for x in items:
-            yield (x,)
-        return
-    n = len(items)
-    idx = list(range(t))
-    while True:
-        yield tuple(items[i] for i in idx)
-        for pos in range(t - 1, -1, -1):
-            if idx[pos] != pos + n - t:
-                break
-        else:
-            return
-        idx[pos] += 1
-        for later in range(pos + 1, t):
-            idx[later] = idx[later - 1] + 1
 
 
 def set_orbit(points: Iterable[int], gens: Sequence[Sequence[int]]) -> set[frozenset]:
@@ -238,7 +163,7 @@ def ag_design(d: int, e: int) -> IncidenceStructure:
 def _rref_bases(d: int, e: int):
     """All e-dimensional subspaces of GF(2)^d, each as its canonical
     reduced-echelon basis (rows as bitmask vectors, bit i = coordinate i)."""
-    for pivots in _subsets(tuple(range(d)), e):
+    for pivots in itertools.combinations(range(d), e):
         free_pos = [
             (row, col)
             for row in range(e)
@@ -309,8 +234,7 @@ def steiner_3_22_6() -> IncidenceStructure:
 
     blocks = sorted([tuple(sorted(o)) for o in orbit] + lines)
     D = IncidenceStructure(22, blocks)
-    p = D.params()
-    if D.b != 77 or p.max_t < 3 or p.lambda_t(3) != 1:
+    if D.b != 77 or D.lambda_t(3) != 1:
         raise DesignError("triple-coverage validation failed for the 22-point design")
     return D
 
@@ -363,8 +287,7 @@ def design_3_12_6_2() -> IncidenceStructure:
         blocks.append(tuple(sorted([1 + i] + [1 + (x + i) % q for x in non])))
     blocks.sort()
     D = IncidenceStructure(12, blocks)
-    p = D.params()
-    if D.b != 22 or p.max_t < 3 or p.lambda_t(3) != 2:
+    if D.b != 22 or D.lambda_t(3) != 2:
         raise DesignError("triple-coverage validation failed for the 12-point design")
     block_set = set(D.blocks)
     full = set(range(12))

@@ -1,7 +1,11 @@
 """Test-only helpers: graphs of known shape, pair decoding and group
-enumeration, used as fixtures and brute-force references."""
+enumeration, used as fixtures and brute-force references, and a design
+counter that walks every t-subset of every block."""
 
-from typing import Iterator, Sequence
+import itertools
+import math
+from collections import Counter
+from typing import Iterator, Optional, Sequence
 
 from symquot.errors import GraphError
 from symquot.graphs import Graph, StructureTag
@@ -85,3 +89,25 @@ def elements(G: PermutationGroup) -> Iterator[Permutation]:
                 yield _mul(tail, rep)
 
     return map(Permutation, rec(0))
+
+
+def counted_design(D) -> tuple[tuple[int, ...], Optional[int]]:
+    """(lambdas, rho) by counting every t-subset of every block.
+
+    lambdas[t - 1] is the number of blocks through a t-subset of points,
+    listed for t = 1..5 while that count is the same for every t-subset;
+    rho is the common block multiplicity, None if blocks repeat unevenly.
+    """
+    lambdas = []
+    for t in range(1, 6):
+        cnt = Counter(sub for blk in D.blocks for sub in itertools.combinations(blk, t))
+        if not cnt:  # no block has t points: every t-subset lies in none
+            lambdas.append(0)
+            continue
+        values = set(cnt.values())
+        if len(cnt) == math.comb(D.v, t) and len(values) == 1:
+            lambdas.append(values.pop())
+        else:
+            break
+    mult = set(Counter(D.blocks).values())
+    return tuple(lambdas), mult.pop() if len(mult) == 1 else None

@@ -38,3 +38,17 @@ def test_raising_criterion_fails(monkeypatch):
     assert result.detail == (
         "raised ClassificationError: cross valency between blocks 0 and 1 is uneven"
     )
+
+
+def test_uneven_triple_count_is_a_failure_line(monkeypatch):
+    # one block of the 22-point design doubled in place of another: b is
+    # still 77, but some triples now lie in two blocks and some in none
+    from symquot.designs import IncidenceStructure, steiner_3_22_6
+
+    blocks = steiner_3_22_6().blocks
+    uneven = IncidenceStructure(22, blocks[:1] + blocks[:-1])
+    monkeypatch.setattr(acceptance, "steiner_3_22_6", lambda: uneven)
+    result = run_criterion(9)
+    assert not result.passed
+    assert "22-point design has b=77, lambda_3=None" in result.detail
+    assert not result.detail.startswith("raised")

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import symquot
 from symquot import constructions
 from symquot.cli import SCHEMA, TagError, build_triple, parse_tag, run
 from symquot.constructions import Provenance
@@ -188,6 +193,35 @@ class TestExportVerb:
         assert text.startswith("p edge 12 12\n")
         assert text.endswith("\n")
 
+    def test_unwritable_output_file_exits_one(self, tmp_path):
+        code, out, err = invoke(
+            "export", "--format", "dimacs", "cr:q=3:d=2:s=1", "--output", str(tmp_path)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("symquot: ") and err.count("\n") == 1
+
+    def test_closed_stdout_exits_quietly(self):
+        # The census table is about 11 kB, written in pieces of at most
+        # 8 kB.  A one-page pipe plus the one read made here hold less than
+        # that, so the census still has output to write once the pipe is
+        # closed, whatever the timing.
+        fcntl = pytest.importorskip("fcntl")
+        env = dict(os.environ, PYTHONPATH=str(Path(symquot.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "symquot.cli", "census", "--max-q", "9", "--max-d", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            assert pipe.readline().startswith(b"cr:q=3:d=2:s=1 ")
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
+
     def test_json_carries_blocks_and_generators(self):
         code, out, _ = invoke("export", "--format", "json", "match:group=s4")
         doc = json.loads(out)
@@ -265,6 +299,12 @@ class TestExitCodes:
         (("construct", "pair:group=s\u0665:rule=all_distinct"), 1),
         (("construct", "match:group=pgl2_q\uff17"), 1),
         (("construct", "flag:design=ag_d\u0663:group=agl_d3:rule=same_block"), 1),
+        # the census caps follow the same digit rule
+        (("census", "--max-q", "\u0665", "--max-d", "2"), 2),
+        (("census", "--max-q", "5", "--max-d", " 2"), 2),
+        (("census", "--max-q", "+5", "--max-d", "2"), 2),
+        (("census", "--max-q", "-3", "--max-d", "2"), 2),
+        (("census", "--max-q", "5", "--max-d", "1_0"), 2),
     ]
 
     @pytest.mark.parametrize("argv,want", CASES, ids=[" ".join(c[0]) for c in CASES])

@@ -1,11 +1,12 @@
 """Incidence structure counting against small hand-checkable cases."""
 
+from functools import cached_property
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symquot.designs import (
-    DesignParams,
     IncidenceStructure,
     ag_design,
     design_3_12_6_2,
@@ -15,84 +16,92 @@ from symquot.designs import (
 from symquot.errors import DesignError
 from symquot.permgroup import Permutation
 
+
 FANO = IncidenceStructure(7, [tuple((i + d) % 7 for d in (0, 1, 3)) for i in range(7)])
 
 
-class TestParams:
-    def test_counted_once_per_structure(self, monkeypatch):
-        from symquot import designs
+def _k(D):
+    """The common block size, None if blocks differ in size."""
+    sizes = {len(blk) for blk in D.blocks}
+    return sizes.pop() if len(sizes) == 1 else None
 
-        counted = []
-        real = designs._subsets
-        monkeypatch.setattr(
-            designs, "_subsets", lambda blk, t: counted.append(t) or real(blk, t)
-        )
+
+def _vbrk(D):
+    """(v, b, r, k), with r and k None where they vary."""
+    return D.v, D.b, D.lambda_t(1), _k(D)
+
+
+class TestParams:
+    def test_point_masks_built_once_per_structure(self, monkeypatch):
+        built = []
+        real = IncidenceStructure.point_masks.func
+        counting = cached_property(lambda D: built.append(D) or real(D))
+        counting.__set_name__(IncidenceStructure, "point_masks")
+        monkeypatch.setattr(IncidenceStructure, "point_masks", counting)
         D = IncidenceStructure(7, FANO.blocks)
-        first = D.params()
-        assert counted
-        calls = len(counted)
-        second = D.params()
-        assert len(counted) == calls
-        assert first is not second and repr(first) == repr(second)
-        # a caller editing its copy leaves the memo alone
-        first.r, first.lambdas = 99, ()
-        assert (D.params().r, D.params().lambdas) == (3, (3, 1))
+        assert [D.lambda_t(t) for t in (3, 1, 2)] == [None, 3, 1]
+        assert D.rho == 1
+        assert built == [D]
+        E = IncidenceStructure(7, FANO.blocks)
+        assert E.lambda_t(2) == 1
+        assert built == [D, E]
 
     def test_fano(self):
-        p = FANO.params()
-        assert (p.v, p.b, p.r, p.k) == (7, 7, 3, 3)
-        assert p.lambdas == (3, 1)
-        assert p.rho == 1
+        assert _vbrk(FANO) == (7, 7, 3, 3)
+        assert [FANO.lambda_t(t) for t in (1, 2, 3)] == [3, 1, None]
+        assert FANO.rho == 1
 
     def test_lambda_t_bounds(self):
-        p = FANO.params()
-        assert p.lambda_t(2) == 1
-        with pytest.raises(DesignError):
-            p.lambda_t(3)
-        with pytest.raises(DesignError):
-            p.lambda_t(0)
+        # the empty subset lies in every block; no count is constant at t = 3
+        assert FANO.lambda_t(0) == FANO.b
+        assert FANO.lambda_t(2) == 1
+        assert FANO.lambda_t(3) is None
 
     def test_nonuniform_block_size(self):
         D = IncidenceStructure(4, [(0, 1), (1, 2, 3)])
-        assert D.params().k is None
+        assert _k(D) is None
+        # every point and pair evenly covered, with blocks of sizes 3 and 1
+        D = IncidenceStructure(3, [(0, 1, 2), (0,), (1,), (2,)])
+        assert [D.lambda_t(t) for t in (1, 2, 3, 4)] == [2, 1, 1, 0]
+
+    def test_uneven_smaller_count_hides_larger(self):
+        # each pair lies in one block, but point 0 lies in two
+        D = IncidenceStructure(3, [(0, 1, 2), (0,)])
+        assert [D.lambda_t(t) for t in (1, 2, 3)] == [None, None, None]
 
     def test_nonuniform_replication(self):
         D = IncidenceStructure(3, [(0, 1), (0, 2)])
-        p = D.params()
-        assert p.r is None
-        assert p.lambdas == ()
+        assert D.lambda_t(1) is None
+        assert D.lambda_t(2) is None
 
     def test_single_edge_has_zero_high_lambdas(self):
         # no block carries 3 points, so every higher coverage count is 0
-        p = IncidenceStructure(2, [(0, 1)]).params()
-        assert p.lambdas == (1, 1, 0, 0, 0)
-        assert p.max_t == 5
+        D = IncidenceStructure(2, [(0, 1)])
+        assert [D.lambda_t(t) for t in range(1, 6)] == [1, 1, 0, 0, 0]
+
+    def test_point_in_no_block(self):
+        D = IncidenceStructure(4, [(0, 1, 2)])
+        assert [D.lambda_t(t) for t in (1, 2, 3)] == [None, None, None]
+        # fewer points than t: no t-subset, so 0 blocks through each
+        D = IncidenceStructure(1, [(0,), (0,)])
+        assert [D.lambda_t(t) for t in (1, 2, 3)] == [2, 0, 0]
 
     def test_repeated_blocks_counted(self):
         D = IncidenceStructure(3, [(0, 1), (0, 1)])
-        p = D.params()
-        assert p.b == 2
-        assert p.rho == 2
+        assert D.b == 2
+        assert D.rho == 2
 
     def test_uneven_multiplicity(self):
         D = IncidenceStructure(3, [(0, 1), (0, 1), (1, 2)])
-        assert D.params().rho is None
-
-    def test_as_json_fields(self):
-        d = FANO.params().as_json()
-        assert d == {
-            "v": 7,
-            "b": 7,
-            "r": 3,
-            "k": 3,
-            "max_t": 2,
-            "lambdas": [3, 1],
-            "rho": 1,
-        }
+        assert D.rho is None
 
     def test_no_blocks(self):
-        with pytest.raises(DesignError):
-            IncidenceStructure(3, []).params()
+        D = IncidenceStructure(3, [])
+        assert [D.lambda_t(t) for t in (1, 2, 3)] == [0, 0, 0]
+        assert D.rho is None
+
+    def test_binary_affine_hyperplanes_of_dimension_six(self):
+        assert IncidenceStructure(64, ag_design(6, 5).blocks).lambda_t(3) == 15
 
 
 class TestConstruction:
@@ -128,8 +137,7 @@ def _complements(D):
 
 class TestDerived:
     def test_fano_point(self):
-        p = IncidenceStructure(6, _through(FANO, 0)).params()
-        assert (p.v, p.b, p.k, p.r) == (6, 3, 2, 1)
+        assert _vbrk(IncidenceStructure(6, _through(FANO, 0))) == (6, 3, 1, 2)
 
     def test_relabeling_stays_zero_based(self):
         kept = [[y for y in blk if y != 3] for blk in FANO.blocks if 3 in blk]
@@ -140,8 +148,8 @@ class TestDerived:
 
     def test_isolated_point(self):
         D = IncidenceStructure(3, [(0, 1)])
-        with pytest.raises(DesignError, match="no blocks"):
-            IncidenceStructure(2, _through(D, 2)).params()
+        S = IncidenceStructure(2, _through(D, 2))
+        assert (S.b, S.lambda_t(1), S.rho) == (0, 0, None)
 
     def test_singleton_block(self):
         D = IncidenceStructure(2, [(0,), (0, 1)])
@@ -151,9 +159,9 @@ class TestDerived:
 
 class TestDual:
     def test_fano_self_dual_parameters(self):
-        p = IncidenceStructure(FANO.b, _transposed(FANO)).params()
-        assert (p.v, p.b, p.r, p.k) == (7, 7, 3, 3)
-        assert p.lambda_t(2) == 1
+        D = IncidenceStructure(FANO.b, _transposed(FANO))
+        assert _vbrk(D) == (7, 7, 3, 3)
+        assert D.lambda_t(2) == 1
 
     def test_double_dual_is_identity(self):
         dual = IncidenceStructure(FANO.b, _transposed(FANO))
@@ -167,9 +175,9 @@ class TestDual:
 
 class TestComplement:
     def test_fano_complement(self):
-        p = IncidenceStructure(7, _complements(FANO)).params()
-        assert (p.v, p.b, p.k) == (7, 7, 4)
-        assert p.lambda_t(2) == 2
+        D = IncidenceStructure(7, _complements(FANO))
+        assert (D.v, D.b, _k(D)) == (7, 7, 4)
+        assert D.lambda_t(2) == 2
 
     def test_involution(self):
         once = IncidenceStructure(7, _complements(FANO))
@@ -184,8 +192,7 @@ class TestComplement:
 
 class TestFlags:
     def test_count_is_point_degree_sum(self):
-        p = FANO.params()
-        assert sum(len(blk) for blk in FANO.blocks) == p.v * p.r == 21
+        assert sum(len(blk) for blk in FANO.blocks) == FANO.v * FANO.lambda_t(1) == 21
 
 
 class TestPreserves:
@@ -244,16 +251,13 @@ class TestDesignFromPartition:
 class TestAffineDesign:
     def test_planes_of_dimension_three(self):
         D = ag_design(3, 2)
-        p = D.params()
-        assert (p.v, p.b, p.r, p.k) == (8, 14, 7, 4)
-        assert p.lambdas[:3] == (7, 3, 1)
-        assert p.max_t == 3
+        assert _vbrk(D) == (8, 14, 7, 4)
+        assert [D.lambda_t(t) for t in (1, 2, 3, 4)] == [7, 3, 1, None]
 
     def test_hyperplanes_of_dimension_four(self):
         D = ag_design(4, 3)
-        p = D.params()
-        assert (p.v, p.b, p.r, p.k) == (16, 30, 15, 8)
-        assert p.lambdas[:3] == (15, 7, 3)
+        assert _vbrk(D) == (16, 30, 15, 8)
+        assert [D.lambda_t(t) for t in (1, 2, 3)] == [15, 7, 3]
 
     def test_translation_invariance(self):
         D = ag_design(3, 2)
@@ -279,10 +283,9 @@ class TestAffineDesign:
 class TestBundledDesigns:
     def test_triple_system_parameters(self):
         D = steiner_3_22_6()
-        p = D.params()
-        assert (p.v, p.b, p.r, p.k) == (22, 77, 21, 6)
-        assert p.lambdas == (21, 5, 1)
-        assert p.rho == 1
+        assert _vbrk(D) == (22, 77, 21, 6)
+        assert [D.lambda_t(t) for t in (1, 2, 3, 4)] == [21, 5, 1, None]
+        assert D.rho == 1
 
     def test_triple_system_block_intersections(self):
         D = steiner_3_22_6()
@@ -295,9 +298,8 @@ class TestBundledDesigns:
 
     def test_twelve_point_parameters(self):
         D = design_3_12_6_2()
-        p = D.params()
-        assert (p.v, p.b, p.r, p.k) == (12, 22, 11, 6)
-        assert p.lambdas == (11, 5, 2)
+        assert _vbrk(D) == (12, 22, 11, 6)
+        assert [D.lambda_t(t) for t in (1, 2, 3, 4)] == [11, 5, 2, None]
 
     def test_twelve_point_complement_closed(self):
         blocks = design_3_12_6_2().blocks
@@ -306,9 +308,9 @@ class TestBundledDesigns:
     def test_twelve_point_derived_is_biplane(self):
         # the blocks through point 0, with it deleted and the rest shifted down
         blocks = design_3_12_6_2().blocks
-        p = IncidenceStructure(11, [[x - 1 for x in b if x] for b in blocks if 0 in b]).params()
-        assert (p.v, p.b, p.r, p.k) == (11, 11, 5, 5)
-        assert p.lambda_t(2) == 2
+        D = IncidenceStructure(11, [[x - 1 for x in b if x] for b in blocks if 0 in b])
+        assert _vbrk(D) == (11, 11, 5, 5)
+        assert D.lambda_t(2) == 2
 
 
 def _structures():
@@ -325,11 +327,11 @@ def _structures():
 def test_flag_count_matches_block_sizes(D):
     degrees = [sum(x in blk for blk in D.blocks) for x in range(D.v)]
     assert sum(degrees) == sum(len(blk) for blk in D.blocks)
-    p = D.params()
-    if p.r is not None:
-        assert degrees == [p.r] * D.v
-    if p.k is not None:
-        assert D.b * p.k == sum(degrees)
+    r, k = D.lambda_t(1), _k(D)
+    if r is not None:
+        assert degrees == [r] * D.v
+    if k is not None:
+        assert D.b * k == sum(degrees)
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,10 +341,10 @@ def test_complement_is_involution(D):
         return
     C = IncidenceStructure(D.v, _complements(D))
     assert IncidenceStructure(D.v, _complements(C)) == D
-    p, q = D.params(), C.params()
-    assert (q.v, q.b, q.rho) == (p.v, p.b, p.rho)
-    assert q.k == (None if p.k is None else D.v - p.k)
-    assert q.r == (None if p.r is None else D.b - p.r)
+    assert (C.v, C.b, C.rho) == (D.v, D.b, D.rho)
+    assert _k(C) == (None if _k(D) is None else D.v - _k(D))
+    r = D.lambda_t(1)
+    assert C.lambda_t(1) == (None if r is None else D.b - r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,15 +355,17 @@ def test_double_dual_restores(D):
         return
     dual = IncidenceStructure(D.b, _transposed(D))
     assert IncidenceStructure(D.v, _transposed(dual)) == D
-    p, q = D.params(), dual.params()
-    assert (q.v, q.b, q.r, q.k) == (p.b, p.v, p.k, p.r)
+    v, b, r, k = _vbrk(D)
+    assert _vbrk(dual) == (b, v, k, r)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_structures())
 def test_replication_identity(D):
-    p = D.params()
-    if p.r is not None and p.k is not None:
-        assert D.v * p.r == D.b * p.k
-    if p.lambdas:
-        assert p.lambdas[0] == p.r
+    r, k, lam = D.lambda_t(1), _k(D), D.lambda_t(2)
+    if r is not None and k is not None:
+        assert D.v * r == D.b * k
+        if lam is not None:
+            assert lam * (D.v - 1) == r * (k - 1)
+    if lam is not None:
+        assert r is not None

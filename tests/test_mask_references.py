@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from symquot.classify import (
     _census_instances,
-    _design_profile,
     _edge_label_kind,
     _pair_labels,
     _two_transitive_within_block,
@@ -43,7 +42,7 @@ from symquot.graphs import Graph, Partition, hit_mask, pair_index
 from symquot.groups_catalog import agl, mathieu, sym_alt
 from symquot.permgroup import Permutation, PermutationGroup
 
-from _reference import pair_from_index
+from _reference import counted_design, pair_from_index
 
 # ---------------------------------------------------------------------------
 # References: one vertex, arc, pair or flag at a time.
@@ -100,8 +99,15 @@ def design_profile_ref(D):
         seen = set(pairs.values())
         full = len(pairs) == math.comb(D.v, 2)
         lam2 = seen.pop() if full and len(seen) == 1 else None
+    if r is None:  # compute_params reports the pair count only where r is constant
+        lam2 = None
     mult = set(Counter(D.blocks).values())
     return r, lam2, mult.pop() if len(mult) == 1 else None
+
+
+def design_profile(D):
+    """The (r, lambda, rho) that compute_params reads off the structure."""
+    return D.lambda_t(1), D.lambda_t(2), D.rho
 
 
 def translates_ref(G, x, points):
@@ -159,7 +165,7 @@ def assert_helpers_match(T):
         assert _edge_label_kind(T.graph, labels) == edge_label_kind_ref(T.graph, labels)
     if T.partition.block_count > 1:
         D = design_from_partition(T.graph, T.partition, 0)
-        assert _design_profile(D) == design_profile_ref(D)
+        assert design_profile(D) == design_profile_ref(D)
     assert _two_transitive_within_block(T.group, T.partition) == two_transitive_ref(
         T.group, T.partition
     )
@@ -233,7 +239,7 @@ def test_pair_labels_match_reference(case):
             D = design_from_partition(T.graph, T.partition, 0)
         except DesignError:  # block 0 meets no other block
             return
-        assert _design_profile(D) == design_profile_ref(D)
+        assert design_profile(D) == design_profile_ref(D)
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,7 +255,16 @@ def test_edge_label_kind_matches_reference_on_any_labels(data):
 @settings(max_examples=300, deadline=None)
 @given(designs())
 def test_design_profile_matches_reference(D):
-    assert _design_profile(D) == design_profile_ref(D)
+    assert design_profile(D) == design_profile_ref(D)
+
+
+@settings(max_examples=300, deadline=None)
+@given(designs())
+def test_lambda_t_matches_counted_reference(D):
+    lambdas, rho = counted_design(D)
+    for t in (1, 2, 3):
+        assert D.lambda_t(t) == (lambdas[t - 1] if t <= len(lambdas) else None)
+    assert D.rho == rho
 
 
 def test_design_profile_edge_cases():
@@ -261,7 +276,7 @@ def test_design_profile_edge_cases():
         (IncidenceStructure(3, [(0, 1), (0, 2), (1, 2)]), (2, 1, 1)),
         (IncidenceStructure(4, []), (0, 0, None)),
     ):
-        assert _design_profile(D) == design_profile_ref(D) == want
+        assert design_profile(D) == design_profile_ref(D) == want
 
 
 @st.composite
