@@ -143,18 +143,20 @@ def _two_transitive_within_block(group: PermutationGroup, partition: Partition) 
 
 
 def verify_hypotheses(T: Triple) -> dict:
-    """Run the five entry checks and report each one; never raises."""
-    g, G, P = T.graph, T.group, T.partition
-    c = P.block_count
-    return {
-        "arc_transitive": is_g_symmetric(g, G),
-        "invariant_partition": (
-            P.uniform_block_size() is not None and G.is_block_system(P.blocks)
-        ),
-        "no_internal_edges": not has_intra_block_edges(g, P, T.hits),
-        "complete_quotient": T.quotient.edge_count == c * (c - 1) // 2,
-        "two_transitive_blocks": _two_transitive_within_block(G, P),
-    }
+    """Run the five entry checks once per triple and report each; never raises."""
+    if T._report is None:
+        g, G, P = T.graph, T.group, T.partition
+        c = P.block_count
+        T._report = {
+            "arc_transitive": is_g_symmetric(g, G),
+            "invariant_partition": (
+                P.uniform_block_size() is not None and G.is_block_system(P.blocks)
+            ),
+            "no_internal_edges": not has_intra_block_edges(g, P, T.hits),
+            "complete_quotient": T.quotient.edge_count == c * (c - 1) // 2,
+            "two_transitive_blocks": _two_transitive_within_block(G, P),
+        }
+    return dict(T._report)
 
 
 def compute_params(T: Triple) -> TripleParams:
@@ -162,8 +164,12 @@ def compute_params(T: Triple) -> TripleParams:
 
     Raises ClassificationError when the counts are not well defined: a
     non-regular graph or quotient, uneven cross valencies, parameters
-    that vary between block pairs, or an edgeless quotient.
+    that vary between block pairs, or an edgeless quotient; the triple keeps
+    the result.  Once its kept hypothesis report holds in full, G permutes
+    the arcs of the quotient transitively, so one block pair is measured.
     """
+    if T._params is not None:
+        return T._params
     g, P = T.graph, T.partition
     try:
         s = g.valency()
@@ -178,7 +184,7 @@ def compute_params(T: Triple) -> TripleParams:
     except SymquotError as exc:
         raise ClassificationError(f"quotient is not regular: {exc}") from exc
     t = m = k = None
-    for i, j in quot.edges():
+    for i, j in quot.edges()[: 1 if T._report and all(T._report.values()) else None]:
         cross, mij, kij = cross_counts(g, P, i, j)
         if len(cross) != 1:
             raise ClassificationError(
@@ -201,7 +207,8 @@ def compute_params(T: Triple) -> TripleParams:
     if v * s != b * m or v * r != b * k:
         raise ClassificationError("counting identities vs = bm, vr = bk fail")
     D = design_from_partition(g, P, 0)
-    return TripleParams(v=v, b=b, s=s, t=t, m=m, r=r, k=k, lam=D.lambda_t(2), rho=D.rho)
+    T._params = TripleParams(v=v, b=b, s=s, t=t, m=m, r=r, k=k, lam=D.lambda_t(2), rho=D.rho)
+    return T._params
 
 
 def corollary_case(P: TripleParams) -> str:

@@ -23,6 +23,7 @@ to stderr; results go to stdout, as aligned tables or, under
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -51,8 +52,14 @@ from .graphs import (
 SCHEMA = "symquot/1"
 
 
+def _write(text: str, out: IO[str]) -> None:
+    """In pieces: one large write into a closed pipe can succeed and lose the rest."""
+    for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        out.write(text[i:i + io.DEFAULT_BUFFER_SIZE])
+
+
 def _emit_json(doc: dict, out: IO[str]) -> None:
-    out.write(json.dumps(doc, indent=2) + "\n")
+    _write(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _emit_table(rows: list[tuple[str, str]], out: IO[str]) -> None:
@@ -178,7 +185,7 @@ def _cmd_export(tag: Provenance, fmt: str, path: Optional[str], out: IO[str]) ->
         }
         text = json.dumps(doc, indent=2) + "\n"
     if path is None:
-        out.write(text)
+        _write(text, out)
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)

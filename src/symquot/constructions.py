@@ -83,11 +83,12 @@ class Provenance(NamedTuple):
 
 class Triple:
     """A graph with the group and block partition it is symmetric over.
-    Read-only; its blocks' hit masks, its quotient and its shape are kept
-    once used."""
+    Read-only; its blocks' hit masks, its quotient, its shape and the
+    classifier's hypothesis report and parameters are kept once used."""
 
     __slots__ = (
-        "graph", "group", "partition", "provenance", "_hits", "_quotient", "_structure"
+        "graph", "group", "partition", "provenance",
+        "_hits", "_quotient", "_structure", "_report", "_params",
     )
 
     def __init__(
@@ -105,7 +106,7 @@ class Triple:
         self.group = group
         self.partition = partition
         self.provenance = provenance
-        self._hits = self._quotient = self._structure = None
+        self._hits = self._quotient = self._structure = self._report = self._params = None
 
     @property
     def hits(self) -> list[int]:

@@ -350,7 +350,7 @@ def is_g_symmetric(g: Graph, G: PermutationGroup) -> bool:
     vertices and ordered adjacent pairs.  For transitive G that holds
     exactly when each N(u) is the image of N(u0) along a Schreier tree and
     N(u0) is one G_u0-orbit (Biggs): then g maps N(u) = t_u N(u0) onto
-    N(g u), as t_(g u)^-1 g t_u fixes u0."""
+    N(g u), as t_(g u)^-1 g t_u fixes u0.  Orbital graphs reuse G's kept walk."""
     if G.degree != g.n:
         raise GraphError("group degree does not match the graph")
     if not G.is_transitive():
@@ -359,11 +359,13 @@ def is_g_symmetric(g: Graph, G: PermutationGroup) -> bool:
     u0 = next((u for u, nb in enumerate(nbrs) if nb), None)
     if u0 is None:
         return True
-    # one sort per vertex; a graph G does not preserve exits here, before
-    # the suborbit search (a pair BFS over the domain for plain groups)
-    for w, (u, im) in list(G.schreier_tree(u0).items())[1:]:
-        if nbrs[w] != tuple(sorted(map(im.__getitem__, nbrs[u]))):
-            return False
+    if G._translated[0] != (u0, nbrs[u0]):
+        # one sort per vertex; exits before the suborbit search (a pair BFS)
+        for w, (u, im) in list(G.schreier_tree(u0).items())[1:]:
+            if nbrs[w] != tuple(sorted(map(im.__getitem__, nbrs[u]))):
+                return False
+    elif list(nbrs) != G._translated[1]:  # every t_u N(u0), sorted once
+        return False
     return tuple(G.suborbit(u0, nbrs[u0][0])) == nbrs[u0]
 
 

@@ -14,7 +14,8 @@ the (possibly much larger) original domain.
 
 suborbit(x, y) is the orbit of y under the stabilizer G_x, and
 translates() carries it along a Schreier tree of x's orbit; orbital
-graphs and the arc and block checks are built from the two.  A
+graphs and the arc and block checks are built from the two, and a group
+keeps its last walk, as it keeps its chain, for the arc check to reuse.  A
 LiftedGroup is the faithful lift of a small point group (ordered pairs or
 flags over its points), given by the point group and one lift map.  It
 answers order(), the action on its fibres and suborbit() from the point
@@ -320,6 +321,7 @@ class PermutationGroup:
         self.degree = degree
         self.generators = [g for g in generators if not g.is_identity()]
         self._chain: _Chain | None = None
+        self._translated: tuple = (None, None)  # (key, result) of translates()
         self._gen_images = [g.images for g in self.generators]
 
     @property
@@ -461,14 +463,15 @@ class PermutationGroup:
         return out
 
     def translates(self, x: int, points: Iterable[int]) -> list[tuple[int, ...] | None]:
-        """Entry u: the sorted image of ``points`` under the Schreier-tree
-        element taking x to u, None off x's orbit.  For ``points`` fixed by
-        G_x setwise (a suborbit, say) it does not depend on the tree."""
+        """Entry u: the sorted image of ``points`` under the Schreier-tree element
+        taking x to u, None off x's orbit; for ``points`` fixed by G_x setwise (a
+        suborbit) it does not depend on the tree.  Kept by the group: never change it."""
         tree = self.schreier_tree(x)
         out: list[tuple[int, ...] | None] = [None] * self.degree
         out[x] = tuple(sorted(points))
         for w, (u, im) in list(tree.items())[1:]:
             out[w] = tuple(sorted(map(im.__getitem__, out[u])))
+        self._translated = ((x, out[x]), out)
         return out
 
     def is_self_paired(self, x: int, y: int) -> bool:

@@ -1,14 +1,17 @@
 """Test-only helpers: graphs of known shape, pair decoding and group
-enumeration, used as fixtures and brute-force references, and a design
-counter that walks every t-subset of every block."""
+enumeration, used as fixtures and brute-force references, a design
+counter that walks every t-subset of every block, and a parameter
+measure that reads every quotient edge."""
 
 import itertools
 import math
 from collections import Counter
 from typing import Iterator, Optional, Sequence
 
-from symquot.errors import GraphError
-from symquot.graphs import Graph, StructureTag
+from symquot.classify import TripleParams
+from symquot.designs import design_from_partition
+from symquot.errors import ClassificationError, GraphError, SymquotError
+from symquot.graphs import Graph, StructureTag, cross_counts
 from symquot.permgroup import Permutation, PermutationGroup, _mul
 
 
@@ -111,3 +114,46 @@ def counted_design(D) -> tuple[tuple[int, ...], Optional[int]]:
             break
     mult = set(Counter(D.blocks).values())
     return tuple(lambdas), mult.pop() if len(mult) == 1 else None
+
+
+def all_pairs_params(T) -> TripleParams:
+    """compute_params read off every quotient edge, whatever the triple's
+    hypotheses: the counts of each block pair must agree with the first."""
+    g, P = T.graph, T.partition
+    try:
+        s = g.valency()
+    except SymquotError as exc:
+        raise ClassificationError(f"valency is not constant: {exc}") from exc
+    v = P.uniform_block_size()
+    if v is None:
+        raise ClassificationError("blocks differ in size")
+    quot = T.quotient
+    try:
+        b = quot.valency()
+    except SymquotError as exc:
+        raise ClassificationError(f"quotient is not regular: {exc}") from exc
+    t = m = k = None
+    for i, j in quot.edges():
+        cross, mij, kij = cross_counts(g, P, i, j)
+        if len(cross) != 1:
+            raise ClassificationError(
+                f"cross valency between blocks {i} and {j} is uneven: "
+                f"{sorted(cross)}"
+            )
+        tij = next(iter(cross))
+        if t is None:
+            t, m, k = tij, mij, kij
+        elif (tij, mij, kij) != (t, m, k):
+            raise ClassificationError(
+                f"cross parameters vary: blocks {i},{j} give "
+                f"(t, m, k) = ({tij}, {mij}, {kij}), not ({t}, {m}, {k})"
+            )
+    if t is None:
+        raise ClassificationError("the quotient has no edges")
+    if m != t * k or s % t:
+        raise ClassificationError("cross counts break the divisibility laws")
+    r = s // t
+    if v * s != b * m or v * r != b * k:
+        raise ClassificationError("counting identities vs = bm, vr = bk fail")
+    D = design_from_partition(g, P, 0)
+    return TripleParams(v=v, b=b, s=s, t=t, m=m, r=r, k=k, lam=D.lambda_t(2), rho=D.rho)

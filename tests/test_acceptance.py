@@ -52,3 +52,28 @@ def test_uneven_triple_count_is_a_failure_line(monkeypatch):
     assert not result.passed
     assert "22-point design has b=77, lambda_3=None" in result.detail
     assert not result.detail.startswith("raised")
+
+
+def test_selftest_measures_each_triple_once(monkeypatch):
+    """Every triple keeps its hypothesis report and parameters, so over a
+    whole selftest no graph is checked for arc-transitivity twice and no
+    triple's parameters are measured twice."""
+    from symquot import classify
+
+    for cached in (acceptance._triple, acceptance._cr_sweep, acceptance._tcr9_cases):
+        cached.cache_clear()
+    checked, measured = [], []
+    real_check, real_design = classify.is_g_symmetric, classify.design_from_partition
+    monkeypatch.setattr(
+        classify, "is_g_symmetric", lambda g, G: checked.append(g) or real_check(g, G)
+    )
+    # a measurement reads block 0's design once, after every count holds
+    monkeypatch.setattr(
+        classify,
+        "design_from_partition",
+        lambda g, P, i: measured.append(g) or real_design(g, P, i),
+    )
+    assert all(r.passed for r in acceptance.run_all())
+    for graphs in (checked, measured):
+        assert len(graphs) > 100
+        assert len({id(g) for g in graphs}) == len(graphs)

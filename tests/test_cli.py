@@ -200,26 +200,45 @@ class TestExportVerb:
         assert code == 1 and out == ""
         assert err.startswith("symquot: ") and err.count("\n") == 1
 
-    def test_closed_stdout_exits_quietly(self):
-        # The census table is about 11 kB, written in pieces of at most
-        # 8 kB.  A one-page pipe plus the one read made here hold less than
-        # that, so the census still has output to write once the pipe is
-        # closed, whatever the timing.
+    @staticmethod
+    def _into_closed_pipe(*argv):
+        """Run the CLI into a one-page pipe whose reader reads one line and
+        closes it; the line, the exit status and stderr."""
         fcntl = pytest.importorskip("fcntl")
         env = dict(os.environ, PYTHONPATH=str(Path(symquot.__file__).parents[1]))
         read_end, write_end = os.pipe()
         fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "symquot.cli", "census", "--max-q", "9", "--max-d", "3"],
+            [sys.executable, "-m", "symquot.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
         )
         os.close(write_end)
         with os.fdopen(read_end, "rb") as pipe:
-            assert pipe.readline().startswith(b"cr:q=3:d=2:s=1 ")
+            line = pipe.readline()
         _, err = proc.communicate(timeout=120)
-        assert proc.returncode == 141
+        return line, proc.returncode, err
+
+    def test_closed_stdout_exits_quietly(self):
+        # The census table is about 11 kB, written in pieces of at most
+        # 8 kB.  A one-page pipe plus the one read made here hold less than
+        # that, so the census still has output to write once the pipe is
+        # closed, whatever the timing.
+        line, code, err = self._into_closed_pipe("census", "--max-q", "9", "--max-d", "3")
+        assert line.startswith(b"cr:q=3:d=2:s=1 ")
+        assert code == 141
+        assert err == b""
+
+    def test_closed_stdout_exits_quietly_on_one_document(self):
+        # The JSON export is one 225 kB document; a buffered stream could
+        # take it in one write, report it done and drop what the closed
+        # pipe refused.
+        line, code, err = self._into_closed_pipe(
+            "export", "--format", "json", "cr:q=16:d=3:s=1"
+        )
+        assert line == b"{\n"
+        assert code == 141
         assert err == b""
 
     def test_json_carries_blocks_and_generators(self):
@@ -483,3 +502,51 @@ def test_structure_recognized_once_per_triple(monkeypatch):
     T = build_triple(parse_tag("cr:q=5:d=4:s=1"))
     assert calls == [T.graph]
     assert T.structure is T.structure == recognize_structure(T.graph)
+
+
+def test_classify_measures_two_block_pairs(monkeypatch):
+    """The cr builder checks one block pair and compute_params reads one
+    more; classify again on the kept triple reads none."""
+    from symquot import classify
+    from symquot.graphs import cross_counts
+
+    pairs = []
+
+    def spy(g, P, i, j):
+        pairs.append((i, j))
+        return cross_counts(g, P, i, j)
+
+    monkeypatch.setattr(constructions, "cross_counts", spy)
+    monkeypatch.setattr(classify, "cross_counts", spy)
+    constructions._kept.clear()
+    for _ in range(2):
+        assert invoke("classify", "cr:q=16:d=3:s=1")[0] == 0
+    assert len(pairs) == 2
+
+
+def test_params_verb_on_a_ragged_forged_triple(monkeypatch):
+    """Block pairs that count differently fail the hypotheses, so every
+    pair is read: the params verb names the pair that differs, before and
+    after classify has kept the triple's report."""
+    from symquot import cli
+    from symquot.graphs import Graph, Partition
+    from symquot.permgroup import Permutation, PermutationGroup
+
+    # blocks 0 and 1 are joined by a 4-cycle, blocks 0 and 2 by a matching
+    g = Graph.from_edges(
+        6, [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 5), (2, 4), (3, 5), (4, 5)]
+    )
+    G = PermutationGroup(6, [Permutation(range(6))])
+    P = Partition([(0, 1), (2, 3), (4, 5)], 6)
+    T = constructions.Triple(g, G, P, Provenance("ragged"))
+    monkeypatch.setattr(cli, "build_triple", lambda tag: T)
+    want = (
+        1,
+        "",
+        "symquot: cross parameters vary: blocks 0,2 give "
+        "(t, m, k) = (1, 2, 2), not (2, 4, 2)\n",
+    )
+    assert invoke("params", "cr:q=3:d=2:s=1") == want
+    code, out, _ = invoke("classify", "cr:q=3:d=2:s=1", "--json")
+    assert code == 0 and json.loads(out)["params"] is None
+    assert invoke("params", "cr:q=3:d=2:s=1") == want

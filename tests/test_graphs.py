@@ -16,6 +16,7 @@ from symquot.graphs import (
     Graph,
     Partition,
     _bits,
+    _rows,
     connected_components,
     cross_counts,
     graph_from_dimacs,
@@ -332,6 +333,30 @@ class TestSymmetryCheck:
     def test_degree_mismatch(self):
         with pytest.raises(GraphError):
             is_g_symmetric(complete_graph(3), sym_alt(4, False))
+
+    def test_swapped_edge_pair_off_the_kept_walk_root(self):
+        # The builder's orbital walk, kept by the group, starts at vertex 0.
+        # A graph that agrees with it at vertex 0 and shares every other
+        # untouched neighbour tuple must still be compared in full.
+        from symquot.constructions import cross_ratio_graph
+
+        T = cross_ratio_graph(5, 4, 1)
+        g, G = T.graph, T.group
+        assert G._translated[0] == (0, g.nbrs[0])
+        assert is_g_symmetric(g, G)
+        a, b, c, d = next(
+            (a, b, c, d)
+            for (a, b), (c, d) in itertools.combinations(g.edges(), 2)
+            if 0 not in (a, b, c, d) and len({a, b, c, d}) == 4
+            and not g.has_edge(a, d) and not g.has_edge(c, b)
+        )
+        nbrs = list(g.nbrs)
+        for x, old, new in ((a, b, d), (b, a, c), (c, d, b), (d, c, a)):
+            nbrs[x] = tuple(sorted(set(nbrs[x]) - {old} | {new}))
+        forged = Graph(g.n, _rows(g.n, nbrs), nbrs)
+        assert forged.nbrs[0] is g.nbrs[0] and forged.valency() == g.valency()
+        assert not is_g_symmetric(forged, G)
+        assert is_g_symmetric(g, G)
 
 
 class TestSerialization:
