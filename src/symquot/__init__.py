@@ -18,7 +18,6 @@ from .errors import (  # noqa: F401
 from .ffield import FiniteField, FieldElement, ProjPoint, INFINITY, field  # noqa: F401
 from .permgroup import Permutation, PermutationGroup  # noqa: F401
 from .groups_catalog import (  # noqa: F401
-    GroupTag,
     agl,
     m_group,
     mathieu,

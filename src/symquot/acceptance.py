@@ -8,6 +8,14 @@ valencies of the t >= 2 constructions, a closed classification loop,
 and a bundle of algebraic properties.  Each criterion reports a list of
 failure strings and carries a wall-clock budget.
 
+``_FIXTURES`` is one table: fixture name -> (tag, declared verdicts,
+{criterion number: {fact: expected value}}), where a fact is a
+``TripleParams`` field or a name in ``_READERS``.  Criteria 1, 4, 5, 6
+and 7 only compare those facts, criterion 3 also compares tcr81's, and
+criterion 8 replays the verdicts.  The sweeps, the rejected shifts,
+group orders and design counts stay code.  Each triple built here runs its hypothesis checks first, so
+measuring it reads one block pair.
+
 ``run_all`` drives every criterion in order.  The command line selftest
 verb and the acceptance test module both call into this file, so there
 is exactly one definition of what a working build means.
@@ -16,7 +24,8 @@ is exactly one definition of what a working build means.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 from typing import Callable, NamedTuple
 
 from .classify import (
@@ -25,13 +34,9 @@ from .classify import (
     classify_triple,
     compute_params,
     orbit_length_check,
+    verify_hypotheses,
 )
-from .constructions import (
-    Triple,
-    build_triple,
-    parse_tag,
-    star_transform,
-)
+from .constructions import Triple, build_triple, parse_tag, star_transform
 from .designs import design_3_12_6_2, steiner_3_22_6
 from .errors import (
     ClassificationError,
@@ -76,35 +81,107 @@ class CriterionResult(NamedTuple):
     detail: str
 
 
-# name -> (tag, verdicts its constructor declares); criterion 8 replays
-# every one through the classifier.
-_FIXTURES = {
-    "cr3": ("cr:q=3:d=2:s=1", _cr_expected(3, 1)),
-    "cr5": ("cr:q=5:d=4:s=1", _cr_expected(5, 1)),
-    "tcr81": ("tcr:q=81:d=3:s=2", _cr_expected(81, 2)),
-    "pair_plane_d3": ("pair:group=agl_d3:rule=affine_plane", ("1.1(b)(iv)",)),
-    "pair_distinct_s5": ("pair:group=s5:rule=all_distinct", ("1.2(b)(i)",)),
-    "pair_out_22": ("pair:group=m22:design=s22:rule=design_out", ("1.2(b)(iii.1)",)),
-    "pair_in_22": ("pair:group=m22:design=s22:rule=design_in", ("1.2(b)(iii.2)",)),
-    "pair_out_12": ("pair:group=m11_12:design=h12:rule=design_out", ("1.2(b)(iii.1)",)),
-    "pair_in_12": ("pair:group=m11_12:design=h12:rule=design_in", ("1.2(b)(iii.2)",)),
-    "flag_same_d3": ("flag:design=ag_d3:group=agl_d3:rule=same_block", ("1.1(c)(i)",)),
-    "flag_same_d4": ("flag:design=ag_d4:group=agl_d4:rule=same_block", ("1.1(c)(i)",)),
-    "flag_disjoint_d3": ("flag:design=ag_d3:group=agl_d3:rule=disjoint_blocks", ("1.1(d)",)),
-    "flag_disjoint_d4": ("flag:design=ag_d4:group=agl_d4:rule=disjoint_blocks", ("1.1(d)",)),
-    "flag_common_d3": ("flag:design=ag_d3:group=agl_d3:rule=common_two_points", ("1.2(c)(i)",)),
-    "flag_common_d4": ("flag:design=ag_d4:group=agl_d4:rule=common_two_points", ("1.2(c)(i)",)),
-    "flag_same_22": ("flag:design=s22:group=m22:rule=same_block", ("1.1(c)(ii)",)),
-    "flag_far_22": ("flag:design=s22:group=m22:rule=m22_disjoint", ("1.2(c)(iii)",)),
-    "flag_meet_two_22": ("flag:design=s22:group=m22:rule=m22_meet_two", ("1.2(c)(iii)",)),
-    "flag_same_12": ("flag:design=h12:group=m11_12:rule=same_block", ("1.1(c)(iii)",)),
-    "flag_disjoint_12": ("flag:design=h12:group=m11_12:rule=disjoint_blocks", ("1.1(d)",)),
+# name -> (tag, verdicts its constructor declares, {criterion: {fact: wanted}})
+_FIXTURES: dict[str, tuple[str, tuple[str, ...], dict[int, dict[str, object]]]] = {
+    "cr3": ("cr:q=3:d=2:s=1", _cr_expected(3, 1), {
+        1: {"structure": StructureTag("DisjointCycles", (3, 4))},
+    }),
+    "cr5": ("cr:q=5:d=4:s=1", _cr_expected(5, 1), {
+        1: {"structure": StructureTag("DisjointCompleteMultipartite", (5, 3, 2))},
+    }),
+    "tcr81": ("tcr:q=81:d=3:s=2", _cr_expected(81, 2), {
+        3: {"v": 81, "blocks": 82, "b": 81, "t": 2},
+    }),
+    "pair_plane_d3": ("pair:group=agl_d3:rule=affine_plane", ("1.1(b)(iv)",), {
+        4: {"v": 7, "b": 7, "r": 6, "k": 6, "t": 1,
+            "structure": StructureTag("DisjointCompleteMultipartite", (7, 4, 2))},
+    }),
+    "pair_distinct_s5": ("pair:group=s5:rule=all_distinct", ("1.2(b)(i)",), {
+        4: {"v": 4, "b": 4, "r": 3, "k": 3, "t": 2, "valency": 6, "components": 1,
+            "blocks": 5, "star": StructureTag("DisjointComplete", (5, 4))},
+    }),
+    "pair_out_22": ("pair:group=m22:design=s22:rule=design_out", ("1.2(b)(iii.1)",), {
+        7: {"t": 16},
+    }),
+    "pair_in_22": ("pair:group=m22:design=s22:rule=design_in", ("1.2(b)(iii.2)",), {
+        7: {"t": 3},
+    }),
+    "pair_out_12": ("pair:group=m11_12:design=h12:rule=design_out", ("1.2(b)(iii.1)",), {
+        7: {"t": 3},
+    }),
+    "pair_in_12": ("pair:group=m11_12:design=h12:rule=design_in", ("1.2(b)(iii.2)",), {
+        7: {"t": 6},
+    }),
+    "flag_same_d3": ("flag:design=ag_d3:group=agl_d3:rule=same_block", ("1.1(c)(i)",), {
+        5: {"structure": StructureTag("DisjointComplete", (14, 4))},
+        6: {"orbits": ((1, 2, 4), (1, 3, 3))},
+    }),
+    "flag_same_d4": ("flag:design=ag_d4:group=agl_d4:rule=same_block", ("1.1(c)(i)",), {
+        5: {"structure": StructureTag("DisjointComplete", (30, 8))},
+        6: {"orbits": ((1, 6, 8), (1, 7, 7))},
+    }),
+    "flag_disjoint_d3": ("flag:design=ag_d3:group=agl_d3:rule=disjoint_blocks", ("1.1(d)",), {
+        5: {"structure": StructureTag("DisjointCompleteBipartite", (7, 4))},
+    }),
+    "flag_disjoint_d4": ("flag:design=ag_d4:group=agl_d4:rule=disjoint_blocks", ("1.1(d)",), {
+        5: {"structure": StructureTag("DisjointCompleteBipartite", (15, 8))},
+    }),
+    "flag_common_d3": (
+        "flag:design=ag_d3:group=agl_d3:rule=common_two_points", ("1.2(c)(i)",), {
+            4: {"v": 7, "b": 7, "k": 3, "t": 2, "blocks": 8,
+                "star": StructureTag("DisjointComplete", (14, 4))},
+            7: {"t": 2},
+        },
+    ),
+    "flag_common_d4": (
+        "flag:design=ag_d4:group=agl_d4:rule=common_two_points", ("1.2(c)(i)",), {
+            7: {"t": 6},
+        },
+    ),
+    "flag_same_22": ("flag:design=s22:group=m22:rule=same_block", ("1.1(c)(ii)",), {
+        5: {"structure": StructureTag("DisjointComplete", (77, 6))},
+        6: {"orbits": ((1, 4, 16), (5, 6, 10))},
+    }),
+    "flag_far_22": ("flag:design=s22:group=m22:rule=m22_disjoint", ("1.2(c)(iii)",), {
+        7: {"t": 6},
+    }),
+    "flag_meet_two_22": ("flag:design=s22:group=m22:rule=m22_meet_two", ("1.2(c)(iii)",), {
+        7: {"t": 10},
+    }),
+    "flag_same_12": ("flag:design=h12:group=m11_12:rule=same_block", ("1.1(c)(iii)",), {
+        5: {"structure": StructureTag("DisjointComplete", (22, 6))},
+        6: {"orbits": ((1, 4, 6), (1, 5, 5))},
+    }),
+    "flag_disjoint_12": ("flag:design=h12:group=m11_12:rule=disjoint_blocks", ("1.1(d)",), {
+        5: {"structure": StructureTag("DisjointCompleteBipartite", (11, 6))},
+    }),
+}
+
+
+def _orbit_lengths(T: Triple) -> tuple:
+    res = orbit_length_check(T)
+    got = tuple(tuple(res[c]["orbit_lengths"]) for c in ("incident", "non_incident"))
+    # lengths that orbit_length_check's own table rejects are never wanted
+    return got if res["match"] else got + ("off the classifier's table",)
+
+
+_READERS: dict[str, Callable[[Triple], object]] = {
+    "structure": lambda T: T.structure,
+    "star": lambda T: star_transform(T).structure,
+    "valency": lambda T: T.graph.valency(),
+    "components": lambda T: len(connected_components(T.graph)),
+    "blocks": lambda T: T.partition.block_count,
+    "orbits": _orbit_lengths,
 }
 
 
 @lru_cache(maxsize=None)
-def _triple(name: str) -> Triple:
-    return build_triple(parse_tag(_FIXTURES[name][0]))
+def _triple(tag: str) -> Triple:
+    """The triple a tag names, with its hypotheses run: a kept full report
+    lets every later ``compute_params`` read one block pair."""
+    T = build_triple(parse_tag(tag))
+    verify_hypotheses(T)
+    return T
 
 
 @lru_cache(maxsize=None)
@@ -116,8 +193,7 @@ def _cr_sweep() -> tuple:
             sd = F.subfield_degree(F.element(idx))
             for s in range(1, sd + 1):
                 if sd % s == 0:
-                    T = build_triple(parse_tag(f"cr:q={q}:d={idx}:s={s}"))
-                    out.append((q, sd, s, T))
+                    out.append((q, sd, s, _triple(f"cr:q={q}:d={idx}:s={s}")))
     return tuple(out)
 
 
@@ -135,21 +211,22 @@ def _tcr9_cases() -> tuple:
             continue
         tag = f"tcr:q=9:d={idx}:s=2"
         if el - one in squares:
-            out.append((tag, True, build_triple(parse_tag(tag))))
+            out.append((tag, True, _triple(tag)))
         else:
             out.append((tag, False, None))
     return tuple(out)
 
 
-def _criterion_1() -> list[str]:
+def _check_facts(number: int) -> list[str]:
+    """Compare every fact the table expects under criterion ``number``,
+    building only the fixtures that have one."""
     fails = []
-    for name, want in (
-        ("cr3", StructureTag("DisjointCycles", (3, 4))),
-        ("cr5", StructureTag("DisjointCompleteMultipartite", (5, 3, 2))),
-    ):
-        got = _triple(name).structure
-        if got != want:
-            fails.append(f"{name} has structure {got}, not {want}")
+    for name, (tag, _, facts) in _FIXTURES.items():
+        for fact, want in facts.get(number, {}).items():
+            T = _triple(tag)
+            got = _READERS[fact](T) if fact in _READERS else getattr(compute_params(T), fact)
+            if got != want:
+                fails.append(f"{name} {fact} is {got}, wanted {want}")
     return fails
 
 
@@ -157,15 +234,12 @@ def _criterion_2() -> list[str]:
     fails = []
     for q, sd, s, T in _cr_sweep():
         P = compute_params(T)
-        c = T.partition.block_count
-        tag = T.provenance.tag
-        if (P.v, P.b, P.k, P.t) != (q, q, q - 1, sd // s):
-            fails.append(
-                f"{tag} measured (v,b,k,t)=({P.v},{P.b},{P.k},{P.t}), "
-                f"wanted ({q},{q},{q - 1},{sd // s})"
-            )
-        if c != q + 1 or P.b != c - 1:
-            fails.append(f"{tag} quotient is not complete on {q + 1} blocks")
+        # b = q on q + 1 blocks: the quotient is complete
+        got = (P.v, P.b, P.k, P.t, T.partition.block_count)
+        want = (q, q, q - 1, sd // s, q + 1)
+        if got != want:
+            tag = T.provenance.tag
+            fails.append(f"{tag} measured (v,b,k,t,blocks)={got}, wanted {want}")
     return fails
 
 
@@ -178,135 +252,29 @@ def _criterion_3() -> list[str]:
                 fails.append(f"{tag} measured (k,t)=({P.k},{P.t}), wanted (8,1)")
         else:
             try:
-                build_triple(parse_tag(tag))
+                _triple(tag)
                 fails.append(f"{tag} built; a non-square shift must be rejected")
             except NotSelfPairedError:
                 pass
     F = _field_for(81)
     if F.subfield_degree(F.element(3)) != 4:
         fails.append("shift index 3 over the 81-element field should close at 4")
-    big = _triple("tcr81")
-    P = compute_params(big)
-    if big.graph.n != 6642 or P.t != 2 or P.b != big.partition.block_count - 1:
-        fails.append(
-            f"{big.provenance.tag} gives n={big.graph.n}, t={P.t}; wanted n=6642, t=2"
-        )
-    return fails
+    return fails + _check_facts(3)
 
 
-def _criterion_4() -> list[str]:
-    fails = []
-
-    T = _triple("pair_plane_d3")
-    P = compute_params(T)
-    if (P.v, P.b, P.r, P.k, P.t) != (7, 7, 6, 6, 1):
-        fails.append(f"pair_plane_d3 params {P}, wanted (7,7,6,6,1)")
-    got = T.structure
-    if got != StructureTag("DisjointCompleteMultipartite", (7, 4, 2)):
-        fails.append(f"pair_plane_d3 structure {got}")
-
-    T = _triple("pair_distinct_s5")
-    P = compute_params(T)
-    if (P.v, P.b, P.r, P.k, P.t) != (4, 4, 3, 3, 2):
-        fails.append(f"pair_distinct_s5 params {P}, wanted (4,4,3,3,2)")
-    if T.graph.valency() != 6:
-        fails.append(f"pair_distinct_s5 valency {T.graph.valency()}, wanted 6")
-    if len(connected_components(T.graph)) != 1:
-        fails.append("pair_distinct_s5 is not connected")
-    c = T.partition.block_count
-    if c != 5 or P.b != c - 1:
-        fails.append("pair_distinct_s5 quotient is not complete on 5 blocks")
-    star = star_transform(T).structure
-    if star != StructureTag("DisjointComplete", (5, 4)):
-        fails.append(f"pair_distinct_s5 star structure {star}")
-
-    T = _triple("flag_common_d3")
-    P = compute_params(T)
-    if (P.v, P.k, P.t) != (7, 3, 2):
-        fails.append(f"flag_common_d3 (v,k,t)=({P.v},{P.k},{P.t}), wanted (7,3,2)")
-    c = T.partition.block_count
-    if c != 8 or P.b != c - 1:
-        fails.append("flag_common_d3 quotient is not complete on 8 blocks")
-    star = star_transform(T).structure
-    if star != StructureTag("DisjointComplete", (14, 4)):
-        fails.append(f"flag_common_d3 star structure {star}")
-    return fails
-
-
-def _criterion_5() -> list[str]:
-    fails = []
-    for name, want in (
-        ("flag_same_d3", StructureTag("DisjointComplete", (14, 4))),
-        ("flag_same_d4", StructureTag("DisjointComplete", (30, 8))),
-        ("flag_disjoint_d3", StructureTag("DisjointCompleteBipartite", (7, 4))),
-        ("flag_disjoint_d4", StructureTag("DisjointCompleteBipartite", (15, 8))),
-        ("flag_same_22", StructureTag("DisjointComplete", (77, 6))),
-        ("flag_same_12", StructureTag("DisjointComplete", (22, 6))),
-        ("flag_disjoint_12", StructureTag("DisjointCompleteBipartite", (11, 6))),
-    ):
-        got = _triple(name).structure
-        if got != want:
-            fails.append(f"{name} has structure {got}, not {want}")
-    return fails
-
-
-def _criterion_6() -> list[str]:
-    tables = {
-        "flag_same_d3": ((1, 2, 4), (1, 3, 3)),
-        "flag_same_d4": ((1, 6, 8), (1, 7, 7)),
-        "flag_same_22": ((1, 4, 16), (5, 6, 10)),
-        "flag_same_12": ((1, 4, 6), (1, 5, 5)),
-    }
-    fails = []
-    for name, (inc, non) in tables.items():
-        res = orbit_length_check(_triple(name))
-        got_inc = tuple(res["incident"]["orbit_lengths"])
-        got_non = tuple(res["non_incident"]["orbit_lengths"])
-        if got_inc != inc or got_non != non:
-            fails.append(
-                f"{name} orbit lengths {got_inc}/{got_non}, wanted {inc}/{non}"
-            )
-        if not res["match"]:
-            fails.append(f"{name} orbit table mismatch: {res}")
-    return fails
-
-
-def _criterion_7() -> list[str]:
-    wanted = {
-        "pair_out_22": 16,
-        "pair_in_22": 3,
-        "pair_out_12": 3,
-        "pair_in_12": 6,
-        "flag_far_22": 6,
-        "flag_meet_two_22": 10,
-        "flag_common_d3": 2,
-        "flag_common_d4": 6,
-    }
-    fails = []
-    for name, t_want in wanted.items():
-        t = compute_params(_triple(name)).t
-        if t != t_want:
-            fails.append(f"{name} has cross valency {t}, wanted {t_want}")
-    return fails
+def _declared() -> list[tuple[Triple, tuple[str, ...]]]:
+    """Every triple the checklist builds, with the verdicts declared for it."""
+    out = [(T, _cr_expected(q, sd // s)) for q, sd, s, T in _cr_sweep()]
+    out += [(T, _cr_expected(9, 1)) for _, square, T in _tcr9_cases() if square]
+    return out + [(_triple(tag), want) for tag, want, _ in _FIXTURES.values()]
 
 
 def _criterion_8() -> list[str]:
     fails = []
-    for q, sd, s, T in _cr_sweep():
-        want = _cr_expected(q, sd // s)
+    for T, want in _declared():
         verdict = classify_triple(T).theorem_case
         if verdict not in want:
-            fails.append(f"{T.provenance.tag} classified {verdict}, not {want}")
-    for _, is_square, T in _tcr9_cases():
-        if not is_square:
-            continue
-        verdict = classify_triple(T).theorem_case
-        if verdict not in _cr_expected(9, 1):
-            fails.append(f"{T.provenance.tag} classified {verdict}")
-    for name, (_, want) in _FIXTURES.items():
-        verdict = classify_triple(_triple(name)).theorem_case
-        if verdict not in want:
-            fails.append(f"{name} classified {verdict}, declared {want}")
+            fails.append(f"{T.provenance.tag} classified {verdict}, declared {want}")
     try:
         rows = census(9, 3)
     except ClassificationError as exc:
@@ -319,14 +287,8 @@ def _criterion_8() -> list[str]:
 
 def _criterion_9() -> list[str]:
     fails = []
-
-    counted = [T for _, _, _, T in _cr_sweep()]
-    counted += [T for _, sq, T in _tcr9_cases() if sq]
-    counted += [_triple(name) for name in _FIXTURES]
-    for T in counted:
-        P = compute_params(T)
-        if P.v * P.s != P.b * P.m or P.v * P.r != P.b * P.k:
-            fails.append(f"{T.provenance.tag} breaks vs = bm or vr = bk: {P}")
+    for T, _ in _declared():
+        compute_params(T)  # raises when vs = bm or vr = bk fails
 
     involution = (
         "pair_plane_d3",
@@ -341,7 +303,7 @@ def _criterion_9() -> list[str]:
         "flag_same_22",
     )
     for name in involution:
-        T = _triple(name)
+        T = _triple(_FIXTURES[name][0])
         try:
             back = star_transform(star_transform(T))
         except ConstructionError:
@@ -362,41 +324,25 @@ def _criterion_9() -> list[str]:
     if D.b != 77 or D.lambda_t(3) != 1:
         fails.append(f"22-point design has b={D.b}, lambda_3={D.lambda_t(3)}")
     beta = set(D.blocks[0])
-    meets_two = sum(
-        1 for blk in D.blocks[1:] if len(beta.intersection(blk)) == 2
-    )
+    meets_two = sum(len(beta.intersection(blk)) == 2 for blk in D.blocks[1:])
     if meets_two != 60:
         fails.append(f"{meets_two} blocks meet a fixed block in two points, not 60")
-    outside = [p for p in range(D.v) if p not in beta]
-    for P0 in sorted(beta):
-        for P1 in outside:
-            both = on_new = disj = 0
-            for blk in D.blocks:
-                if P1 not in blk:
-                    continue
-                hits = len(beta.intersection(blk))
-                if hits == 0:
-                    disj += 1
-                elif hits == 2:
-                    if P0 in blk:
-                        both += 1
-                    else:
-                        on_new += 1
-            if (both, on_new, disj) != (5, 10, 6):
-                fails.append(
-                    f"point split ({both},{on_new},{disj}) at ({P0},{P1}), "
-                    "wanted (5,10,6)"
-                )
-                break
-        else:
-            continue
-        break
+    for P0, P1 in product(sorted(beta), sorted(set(range(D.v)) - beta)):
+        # the blocks through P1 meet the fixed block at P0 and one more
+        # point, at two points other than P0, or not at all
+        meets = [beta.intersection(blk) for blk in D.blocks if P1 in blk]
+        split = (
+            sum(len(m) == 2 and P0 in m for m in meets),
+            sum(len(m) == 2 and P0 not in m for m in meets),
+            sum(not m for m in meets),
+        )
+        if split != (5, 10, 6):
+            fails.append(f"point split {split} at ({P0}, {P1}), wanted (5, 10, 6)")
+            break
 
     H = design_3_12_6_2()
     blocks = set(H.blocks)
-    closed = all(
-        tuple(sorted(set(range(12)) - set(blk))) in blocks for blk in blocks
-    )
+    closed = all(tuple(sorted(set(range(12)) - set(blk))) in blocks for blk in blocks)
     if H.b != 22 or not closed or H.lambda_t(3) != 2:
         fails.append(
             f"12-point design has b={H.b}, complement-closed={closed}, "
@@ -406,13 +352,13 @@ def _criterion_9() -> list[str]:
 
 
 _CRITERIA: dict[int, Callable[[], list[str]]] = {
-    1: _criterion_1,
+    1: partial(_check_facts, 1),
     2: _criterion_2,
     3: _criterion_3,
-    4: _criterion_4,
-    5: _criterion_5,
-    6: _criterion_6,
-    7: _criterion_7,
+    4: partial(_check_facts, 4),
+    5: partial(_check_facts, 5),
+    6: partial(_check_facts, 6),
+    7: partial(_check_facts, 7),
     8: _criterion_8,
     9: _criterion_9,
 }

@@ -27,7 +27,7 @@ import math
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
-from .constructions import Triple, build_triple, group_token, parse_tag
+from .constructions import Triple, build_triple, parse_tag
 from .designs import design_from_partition
 from .errors import ClassificationError, SymquotError
 from .graphs import (
@@ -538,9 +538,9 @@ def _census_point_groups(m: int) -> list[tuple[str, bool]]:
     q = m - 1
     if q >= 3 and _prime_power(q) is not None:
         fact = math.factorial(m)
-        for gtag, H in three_transitive_pgammal_list(q):
+        for token, H in three_transitive_pgammal_list(q):
             if H.order() not in (fact, fact // 2):
-                out.append((group_token(gtag), False))
+                out.append((token, False))
     return out
 
 

@@ -44,7 +44,6 @@ from .graphs import (
     recognize_structure,
 )
 from .groups_catalog import (
-    GroupTag,
     _field_for,
     agl,
     m_group,
@@ -562,7 +561,10 @@ def parse_decimal(text: str, what: str) -> int:
     spaces, "_" and other scripts' digits."""
     if not (text.isascii() and text.isdigit()):
         raise TagError(f"{what} wants an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise TagError(f"{what} has {len(text)} digits, too many") from None
 
 
 def parse_tag(text: str) -> Provenance:
@@ -660,11 +662,6 @@ def _group_spec(token: str) -> tuple[Optional[int], Callable[[], PermutationGrou
 def _design_spec(token: str) -> tuple[Optional[int], Callable[[], IncidenceStructure]]:
     """The flag count a design tag names, and a builder for the design."""
     return _token_spec(_DESIGNS, token, "design", DesignError)
-
-
-def group_token(gtag: GroupTag) -> str:
-    """The group tag of a catalog GroupTag, e.g. ``pgammal_q8_s1``."""
-    return "_".join([gtag.name] + [f"{key}{val}" for key, val in gtag.params])
 
 
 def _vertex_count(tag: Provenance) -> Optional[int]:

@@ -15,22 +15,11 @@ import json
 import math
 from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple
 
 from .designs import design_3_12_6_2, set_orbit, steiner_3_22_6
 from .errors import CatalogError
 from .ffield import INFINITY, FiniteField, ProjPoint, field
 from .permgroup import Permutation, PermutationGroup
-
-
-class GroupTag(NamedTuple):
-    name: str
-    params: tuple[tuple[str, int], ...] = ()
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.name
-        return self.name + ":" + ":".join(f"{k}={v}" for k, v in self.params)
 
 
 class MoebiusTransformation:
@@ -219,18 +208,14 @@ def m_group(s: int, q: int) -> PermutationGroup:
     return G
 
 
-def three_transitive_pgammal_list(q: int) -> list[tuple[GroupTag, PermutationGroup]]:
+def three_transitive_pgammal_list(q: int) -> list[tuple[str, PermutationGroup]]:
     """Every 3-transitive group between the projective linear group and its
-    semilinear closure on q + 1 points, twisted families included."""
+    semilinear closure on q + 1 points, twisted families included, each
+    with its group tag (``pgammal_q9_s1``, ``m_s1_q9``)."""
     F = _field_for(q)
-    out: list[tuple[GroupTag, PermutationGroup]] = []
-    for s in _divisors(F.n):
-        tag = GroupTag("pgammal", (("q", q), ("s", s)))
-        out.append((tag, pgammal_subgroup(q, s)))
+    out = [(f"pgammal_q{q}_s{s}", pgammal_subgroup(q, s)) for s in _divisors(F.n)]
     if F.p != 2 and F.n % 2 == 0:
-        for s in _divisors(F.n // 2):
-            tag = GroupTag("m", (("s", s), ("q", q)))
-            out.append((tag, m_group(s, q)))
+        out += [(f"m_s{s}_q{q}", m_group(s, q)) for s in _divisors(F.n // 2)]
     return out
 
 

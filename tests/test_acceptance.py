@@ -57,13 +57,17 @@ def test_uneven_triple_count_is_a_failure_line(monkeypatch):
 def test_selftest_measures_each_triple_once(monkeypatch):
     """Every triple keeps its hypothesis report and parameters, so over a
     whole selftest no graph is checked for arc-transitivity twice and no
-    triple's parameters are measured twice."""
-    from symquot import classify
+    triple's parameters are measured twice; and each triple runs its
+    hypotheses before anything measures it, so a measurement reads one
+    block pair."""
+    from symquot import classify, constructions
 
     for cached in (acceptance._triple, acceptance._cr_sweep, acceptance._tcr9_cases):
         cached.cache_clear()
-    checked, measured = [], []
+    constructions._kept.clear()
+    checked, measured, pairs, built = [], [], [], []
     real_check, real_design = classify.is_g_symmetric, classify.design_from_partition
+    real_pair, real_build = classify.cross_counts, constructions._build
     monkeypatch.setattr(
         classify, "is_g_symmetric", lambda g, G: checked.append(g) or real_check(g, G)
     )
@@ -73,7 +77,33 @@ def test_selftest_measures_each_triple_once(monkeypatch):
         "design_from_partition",
         lambda g, P, i: measured.append(g) or real_design(g, P, i),
     )
+    monkeypatch.setattr(
+        classify, "cross_counts", lambda g, P, i, j: pairs.append(g) or real_pair(g, P, i, j)
+    )
+    monkeypatch.setattr(constructions, "_build", lambda tag: built.append(tag) or real_build(tag))
     assert all(r.passed for r in acceptance.run_all())
     for graphs in (checked, measured):
         assert len(graphs) > 100
         assert len({id(g) for g in graphs}) == len(graphs)
+    assert len(built) > 100
+    assert len(pairs) <= len(built)
+
+
+# one expected fact per table-driven criterion, each on a different fixture
+BROKEN_FACTS = [
+    (1, "cr5", "structure"),
+    (4, "pair_distinct_s5", "star"),
+    (5, "flag_disjoint_12", "structure"),
+    (6, "flag_same_22", "orbits"),
+    (7, "flag_meet_two_22", "t"),
+]
+
+
+@pytest.mark.parametrize("number,name,fact", BROKEN_FACTS)
+def test_one_broken_fact_fails_one_criterion(monkeypatch, number, name, fact):
+    monkeypatch.setitem(acceptance._FIXTURES[name][2][number], fact, "broken")
+    results = acceptance.run_all()
+    assert [r.number for r in results if not r.passed] == [number]
+    detail = results[number - 1].detail
+    assert detail.startswith(f"{name} {fact} is ")
+    assert detail.endswith(", wanted broken")

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -324,9 +325,13 @@ class TestExitCodes:
         (("census", "--max-q", "+5", "--max-d", "2"), 2),
         (("census", "--max-q", "-3", "--max-d", "2"), 2),
         (("census", "--max-q", "5", "--max-d", "1_0"), 2),
+        # more digits than int() takes from a string
+        (("classify", f"cr:q={'9' * 5000}:d=2:s=1"), 2),
+        (("census", "--max-q", "9" * 5000, "--max-d", "1"), 2),
     ]
+    IDS = [re.sub("9{100,}", lambda m: f"<{len(m[0])} nines>", " ".join(c[0])) for c in CASES]
 
-    @pytest.mark.parametrize("argv,want", CASES, ids=[" ".join(c[0]) for c in CASES])
+    @pytest.mark.parametrize("argv,want", CASES, ids=IDS)
     def test_codes(self, argv, want):
         code, out, err = invoke(*argv)
         assert code == want

@@ -5,7 +5,6 @@ import pytest
 from symquot.errors import CatalogError
 from symquot.ffield import INFINITY, ProjPoint, field
 from symquot.groups_catalog import (
-    GroupTag,
     MoebiusTransformation,
     agl,
     m_group,
@@ -17,6 +16,7 @@ from symquot.groups_catalog import (
     three_transitive_pgammal_list,
     z24_a7,
 )
+from symquot.constructions import _group_spec
 from symquot.designs import design_3_12_6_2, steiner_3_22_6
 
 
@@ -148,30 +148,28 @@ class TestTwistedFamily:
 class TestThreeTransitiveList:
     def test_prime_field_has_single_entry(self):
         out = three_transitive_pgammal_list(5)
-        assert [str(tag) for tag, _ in out] == ["pgammal:q=5:s=1"]
+        assert [token for token, _ in out] == ["pgammal_q5_s1"]
 
     def test_q9_includes_twist(self):
-        tags = [str(tag) for tag, _ in three_transitive_pgammal_list(9)]
-        assert tags == ["pgammal:q=9:s=1", "pgammal:q=9:s=2", "m:s=1:q=9"]
+        tokens = [token for token, _ in three_transitive_pgammal_list(9)]
+        assert tokens == ["pgammal_q9_s1", "pgammal_q9_s2", "m_s1_q9"]
 
     def test_q8_no_twist_in_odd_degree(self):
-        tags = [str(tag) for tag, _ in three_transitive_pgammal_list(8)]
-        assert tags == ["pgammal:q=8:s=1", "pgammal:q=8:s=3"]
+        tokens = [token for token, _ in three_transitive_pgammal_list(8)]
+        assert tokens == ["pgammal_q8_s1", "pgammal_q8_s3"]
 
     def test_q16_even_characteristic_has_no_twists(self):
-        tags = [str(tag) for tag, _ in three_transitive_pgammal_list(16)]
-        assert tags == [
-            "pgammal:q=16:s=1",
-            "pgammal:q=16:s=2",
-            "pgammal:q=16:s=4",
-        ]
+        tokens = [token for token, _ in three_transitive_pgammal_list(16)]
+        assert tokens == ["pgammal_q16_s1", "pgammal_q16_s2", "pgammal_q16_s4"]
 
     def test_every_member_is_three_transitive(self):
         for _, G in three_transitive_pgammal_list(9):
             assert G.transitivity_degree() >= 3
 
-    def test_tag_without_params(self):
-        assert str(GroupTag("plain")) == "plain"
+    def test_tokens_build_through_the_registry(self):
+        for token, G in three_transitive_pgammal_list(9):
+            H = _group_spec(token)[1]()
+            assert (H.degree, H.order()) == (G.degree, G.order())
 
 
 AGL_ORDERS = [(2, 24), (3, 1344), (4, 322560), (5, 319979520)]
