@@ -290,23 +290,28 @@ def _criterion_9() -> list[str]:
     for T, _ in _declared():
         compute_params(T)  # raises when vs = bm or vr = bk fails
 
+    # every fixture whose star transform exists
     involution = (
-        "pair_plane_d3",
+        "cr3",
         "pair_distinct_s5",
-        "pair_out_12",
-        "pair_in_12",
         "flag_same_d3",
+        "flag_same_d4",
         "flag_disjoint_d3",
+        "flag_disjoint_d4",
         "flag_common_d3",
+        "flag_common_d4",
+        "flag_same_22",
+        "flag_far_22",
+        "flag_meet_two_22",
         "flag_same_12",
         "flag_disjoint_12",
-        "flag_same_22",
     )
     for name in involution:
         T = _triple(_FIXTURES[name][0])
         try:
             back = star_transform(star_transform(T))
-        except ConstructionError:
+        except ConstructionError as exc:
+            fails.append(f"{name} has no star transform: {exc}")
             continue
         if back.graph.adj != T.graph.adj:
             fails.append(f"{name} star transform applied twice moved edges")

@@ -204,9 +204,9 @@ def orbital_graph(G: PermutationGroup, x: int, y: int) -> Graph:
             f"the orbital of ({x},{y}) is not self-paired; "
             "its orbital graph would be directed"
         )
-    # self-paired, so N(u) = {v : (u, v) in the orbit of (x, y)}: the
-    # suborbit G_x.y carried along x's orbit, and empty off it
-    nbrs = [nb or () for nb in G.translates(x, G.suborbit(x, y))]
+    # self-paired, so N(u) = {v : (u, v) in the orbit of (x, y)}: the walk
+    # that check kept, G_x.y carried along x's orbit, and empty off it
+    nbrs = [nb or () for nb in G._translated[1]]
     return Graph(G.degree, _rows(G.degree, nbrs), nbrs)
 
 

@@ -13,16 +13,16 @@ yields an exact kernel-triviality certificate without a stabilizer chain on
 the (possibly much larger) original domain.
 
 suborbit(x, y) is the orbit of y under the stabilizer G_x, and
-translates() carries it along a Schreier tree of x's orbit; orbital
-graphs and the arc and block checks are built from the two, and a group
-keeps its last walk, as it keeps its chain, for the arc check to reuse.  A
-LiftedGroup is the faithful lift of a small point group (ordered pairs or
-flags over its points), given by the point group and one lift map.  It
-answers order(), the action on its fibres and suborbit() from the point
-group, with no chain and no pair BFS on the lifted domain; other
-questions, and every plain PermutationGroup (foreign triples included),
-keep Schreier-Sims, the kernel certificate above and a pair BFS over the
-whole domain for suborbits.
+translates() carries it along a Schreier tree of x's orbit.  Self-pairing,
+orbital graphs and the arc and block checks are read from the two, and a
+group keeps its last walk, as it keeps its chain, for the orbital graph and
+the arc check to reuse.  A LiftedGroup is the faithful lift of a small
+point group (ordered pairs or flags over its points), given by the point
+group and one lift map.  It answers order(), the action on its fibres and
+suborbit() from the point group, with no chain and no pair BFS on the
+lifted domain; other questions, and every plain PermutationGroup (foreign
+triples included), keep Schreier-Sims, the kernel certificate above and a
+pair BFS over the whole domain for suborbits.
 """
 
 from __future__ import annotations
@@ -110,31 +110,9 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
 
-    def order(self) -> int:
-        k = 1
-        acc = self.images
-        ident = tuple(range(self.degree))
-        while acc != ident:
-            acc = _mul(acc, self.images)
-            k += 1
-        return k
-
     def sign(self) -> int:
         """+1 for even, -1 for odd."""
-        seen = [False] * self.degree
-        sign = 1
-        for i in range(self.degree):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, least element first, sorted by least element."""
@@ -475,41 +453,15 @@ class PermutationGroup:
         return out
 
     def is_self_paired(self, x: int, y: int) -> bool:
-        """True iff the ordered pairs (x, y) and (y, x) share an orbit.  BFS
-        from both stop when they meet, whatever the BFS order (within 9000
-        of 235200 states on the q = 49 pair lifts); the one from (y, x) takes
-        one state per eight of the other, so distinct orbits cost 9/8 of one."""
+        """True iff the ordered pairs (x, y) and (y, x) share an orbit: iff x
+        lies in N(y) = {v : (y, v) in the orbit of (x, y)}, read off the
+        translates of G_x.y, which the group keeps."""
         if x == y:
             raise GroupError("points must differ")
-        if y not in set(self.orbit(x)):
+        at_y = self.translates(x, self.suborbit(x, y))[y]
+        if at_y is None:
             raise GroupError("points lie in different orbits")
-        n = self.degree
-        gens = self._gen_images
-
-        def grow(seen: set, queue: list, other: set, i: int) -> bool:
-            # each state is checked against the other search as it is added
-            a, b = divmod(queue[i], n)
-            for im in gens:
-                nxt = im[a] * n + im[b]
-                if nxt not in seen:
-                    if nxt in other:
-                        return True
-                    if len(seen) >= PAIR_BFS_CAP:
-                        raise GroupError("pair-orbit search exceeded state cap")
-                    seen.add(nxt)
-                    queue.append(nxt)
-            return False
-
-        fwd, bwd = {x * n + y}, {y * n + x}
-        fq, bq = [x * n + y], [y * n + x]
-        for fi, _ in enumerate(fq):
-            if grow(fwd, fq, bwd, fi):
-                return True
-            # the two orbits are the same size, so the slower search from
-            # (y, x) cannot run out first
-            if fi % 8 == 0 and grow(bwd, bq, fwd, fi // 8):
-                return True
-        return False
+        return x in at_y
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, gens={len(self.generators)})"

@@ -54,6 +54,20 @@ def test_uneven_triple_count_is_a_failure_line(monkeypatch):
     assert not result.detail.startswith("raised")
 
 
+def test_missing_star_is_a_failure_line(monkeypatch):
+    # a fixture on the involution list whose star cannot be built fails
+    # criterion 9; it is not skipped
+    from symquot.errors import ConstructionError
+
+    def no_star(T):
+        raise ConstructionError("no star")
+
+    monkeypatch.setattr(acceptance, "star_transform", no_star)
+    result = run_criterion(9)
+    assert not result.passed
+    assert result.detail.startswith("cr3 has no star transform: no star; ")
+
+
 def test_selftest_measures_each_triple_once(monkeypatch):
     """Every triple keeps its hypothesis report and parameters, so over a
     whole selftest no graph is checked for arc-transitivity twice and no

@@ -169,6 +169,25 @@ class TestOrbitalGraph:
         )
         assert orbital_graph(dih, 0, 1) == cycle_graph(4)
 
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_one_walk_per_orbital_graph(self, monkeypatch, lifted):
+        # the self-pairing check's suborbit and translates are the rows
+        from symquot.constructions import pair_action
+        from symquot.groups_catalog import pgammal_subgroup
+
+        G = pair_action(pgammal_subgroup(9, 1)) if lifted else sym_alt(5, False)
+        x, y = (0, pair_index(10, 1, 0)) if lifted else (0, 1)
+        calls = {}
+        for name in ("suborbit", "translates", "is_self_paired"):
+            def counted(*args, _real=getattr(G, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+
+            monkeypatch.setattr(G, name, counted)
+        g = orbital_graph(G, x, y)
+        assert calls == {"suborbit": 1, "translates": 1, "is_self_paired": 1}
+        assert g.has_edge(x, y) and g.nbrs == tuple(G._translated[1])
+
 
 class TestQuotient:
     def test_opposite_pairs_of_hexagon(self):

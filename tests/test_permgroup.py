@@ -47,9 +47,8 @@ class TestPermutation:
         assert (g * g * g * g * g).is_identity()
         assert (g * g).inverse() == g * g * g
 
-    def test_order_and_sign(self):
+    def test_sign(self):
         g = P(6, [(0, 1, 2), (3, 4)])
-        assert g.order() == 6
         assert g.sign() == -1
         assert P(6, [(0, 1, 2)]).sign() == 1
 
