@@ -27,7 +27,7 @@ import math
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
-from .constructions import Triple, build_triple, parse_tag
+from .constructions import Triple, _vertex_count, build_triple, parse_tag
 from .designs import design_from_partition
 from .errors import ClassificationError, SymquotError
 from .graphs import (
@@ -663,10 +663,16 @@ def census(max_q: int, max_d: int) -> list[CensusRow]:
             "census caps are max_q = 16, max_d = 4; larger sweeps do not "
             "fit the resource budget"
         )
-    out = [
-        CensusRow(tag, expected, classify_triple(build_triple(parse_tag(tag))))
-        for tag, expected in _census_instances(max_q, max_d)
-    ]
+    rows = _census_instances(max_q, max_d)
+    tags = [parse_tag(tag) for tag, _ in rows]
+    # the rows on one rule graph side by side, so it is listed once
+    verdicts = {
+        t: classify_triple(build_triple(t))
+        for t in sorted(tags, key=lambda t: (
+            t.kind, [kv for kv in t.params if kv[0] != "group"], _vertex_count(t)
+        ))
+    }
+    out = [CensusRow(tag, exp, verdicts[t]) for (tag, exp), t in zip(rows, tags)]
     escaped = [
         row.tag
         for row in out

@@ -4,9 +4,12 @@ Each builder returns a Triple: the graph, a permutation group acting on its
 vertices, and the vertex partition the quotient collapses.  Vertices of the
 pair families are ordered distinct pairs of an underlying point set, in the
 lexicographic numbering of graphs.pair_index; flag families number the
-flags (p, B) point-major, each point's blocks in block order.  Builders
-verify the parameters they advertise (cross valency t and cross support
-k) on a sample block pair before returning.
+flags (p, B) point-major, each point's blocks in block order.  The rule
+alone fixes such a graph, so the pair, flag and matching builders share
+the last one they listed with the next triple that differs by group
+alone, and check its group and rule anew.  Builders verify the
+parameters they advertise (cross valency t and cross support k) on a
+sample block pair before returning.
 
 Constructions are named by tags such as ``cr:q=5:d=4:s=1``: a kind word,
 then ``key=value`` fields, with ``star:`` wrapping any other tag.  This
@@ -35,7 +38,6 @@ from .graphs import (
     Partition,
     StructureTag,
     _bits,
-    _rows,
     cross_counts,
     hit_mask,
     orbital_graph,
@@ -183,6 +185,21 @@ def pair_partition(m: int) -> Partition:
     )
 
 
+# The last rule graph listed, under what defines it: kind, point count,
+# rule tag and the design, held so its id names no other object.
+_rule_graphs: dict[tuple, tuple[Optional[IncidenceStructure], Graph]] = {}
+
+
+def _rule_graph(what: tuple, design: Optional[IncidenceStructure], listed: Callable) -> Graph:
+    """The graph of a rule, its neighbours listed only when the slot holds
+    another; read-only, so the groups acting on it share it."""
+    key = (*what, id(design))
+    if key not in _rule_graphs:
+        _rule_graphs.clear()
+        _rule_graphs[key] = (design, Graph(len(nbrs := listed()), nbrs=nbrs))
+    return _rule_graphs[key][1]
+
+
 def _assert_pair_params(
     triple: Triple, k: int, t: int, what: str
 ) -> None:
@@ -300,42 +317,45 @@ def pair_graph(
     elif rule.design is not None:
         raise ConstructionError(f"pair rule {rule.tag} takes no design")
 
-    # each vertex's neighbours straight from the rule, in pair_index order,
-    # as entries of ``at``: one int object per vertex, shared by every tuple
-    at = [[pair_index(m, i, j) if j != i else None for j in range(m)] for i in range(m)]
-    if rule.design is not None:
-        through = [[blk for blk in rule.design.blocks if p in blk] for p in range(m)]
-    nbrs = []
-    for i in range(m):
-        for j in range(m):
-            if j == i:
-                continue
-            others = [a for a in range(m) if a != i and a != j]
-            if rule.design is not None:
-                # the pairs of other points on the blocks through i and j;
-                # a set, since two blocks may share four points
-                inside = {
-                    at[a][b] for blk in through[i] if j in blk
-                    for a in blk if a != i and a != j
-                    for b in blk if b != a and b != i and b != j
-                }
-            if rule.tag == "same_second":
-                nb = [at[a][j] for a in others]
-            elif rule.tag == "affine_plane":
-                nb = [at[a][i ^ j ^ a] for a in others]
-            elif rule.tag == "design_in":
-                nb = sorted(inside)
-            else:  # pairs avoiding i and j, less affine_plane's or design_in's
-                if rule.tag == "affine_non_plane":
-                    drop = {at[a][i ^ j ^ a] for a in others}
-                else:
-                    drop = inside if rule.tag == "design_out" else set()
-                nb = [
-                    at[a][b] for a in others for b in others
-                    if b != a and at[a][b] not in drop
-                ]
-            nbrs.append(tuple(nb))
-    graph = Graph(len(nbrs), _rows(len(nbrs), nbrs), nbrs)
+    def listed() -> list[tuple[int, ...]]:
+        # each vertex's neighbours straight from the rule, in pair_index order,
+        # as entries of ``at``: one int object per vertex, shared by every tuple
+        at = [[pair_index(m, i, j) if j != i else None for j in range(m)] for i in range(m)]
+        if rule.design is not None:
+            through = [[blk for blk in rule.design.blocks if p in blk] for p in range(m)]
+        nbrs = []
+        for i in range(m):
+            for j in range(m):
+                if j == i:
+                    continue
+                others = [a for a in range(m) if a != i and a != j]
+                if rule.design is not None:
+                    # the pairs of other points on the blocks through i and j;
+                    # a set, since two blocks may share four points
+                    inside = {
+                        at[a][b] for blk in through[i] if j in blk
+                        for a in blk if a != i and a != j
+                        for b in blk if b != a and b != i and b != j
+                    }
+                if rule.tag == "same_second":
+                    nb = [at[a][j] for a in others]
+                elif rule.tag == "affine_plane":
+                    nb = [at[a][i ^ j ^ a] for a in others]
+                elif rule.tag == "design_in":
+                    nb = sorted(inside)
+                else:  # pairs avoiding i and j, less affine_plane's or design_in's
+                    if rule.tag == "affine_non_plane":
+                        drop = {at[a][i ^ j ^ a] for a in others}
+                    else:
+                        drop = inside if rule.tag == "design_out" else set()
+                    nb = [
+                        at[a][b] for a in others for b in others
+                        if b != a and at[a][b] not in drop
+                    ]
+                nbrs.append(tuple(nb))
+        return nbrs
+
+    graph = _rule_graph(("pair", m, rule.tag), rule.design, listed)
     params = []
     if group_label:
         params.append(("group", group_label))
@@ -404,28 +424,30 @@ def flag_graph(
     ]
     flag_of = {f: i for i, f in enumerate(flag_list)}
 
-    # each flag's neighbours straight from the rule, as values of
-    # ``flag_of``: one int object per vertex, shared by every tuple
-    on_block = [[(p, flag_of[p, c]) for p in blk] for c, blk in enumerate(D.blocks)]
-    through = [[c for c, fs in enumerate(block_sets) if p in fs] for p in range(D.v)]
-    nbrs = []
-    for p, bi in flag_list:
-        B = block_sets[bi]
-        if rule.tag == "same_block":
-            nb = [f for p2, f in on_block[bi] if p2 != p]
-        elif rule.tag == "common_two_points":
-            nb = sorted(
-                f for c in through[p] if c != bi
-                for p2, f in on_block[c] if p2 != p and p2 in B
-            )
-        else:
-            nb = sorted(
-                f for c in partners[bi] if p not in block_sets[c]
-                for p2, f in on_block[c] if p2 not in B
-            )
-        nbrs.append(tuple(nb))
-    nf = len(flag_list)
-    graph = Graph(nf, _rows(nf, nbrs), nbrs)
+    def listed() -> list[tuple[int, ...]]:
+        # each flag's neighbours straight from the rule, as values of
+        # ``flag_of``: one int object per vertex, shared by every tuple
+        on_block = [[(p, flag_of[p, c]) for p in blk] for c, blk in enumerate(D.blocks)]
+        through = [[c for c, fs in enumerate(block_sets) if p in fs] for p in range(D.v)]
+        nbrs = []
+        for p, bi in flag_list:
+            B = block_sets[bi]
+            if rule.tag == "same_block":
+                nb = [f for p2, f in on_block[bi] if p2 != p]
+            elif rule.tag == "common_two_points":
+                nb = sorted(
+                    f for c in through[p] if c != bi
+                    for p2, f in on_block[c] if p2 != p and p2 in B
+                )
+            else:
+                nb = sorted(
+                    f for c in partners[bi] if p not in block_sets[c]
+                    for p2, f in on_block[c] if p2 not in B
+                )
+            nbrs.append(tuple(nb))
+        return nbrs
+
+    graph = _rule_graph(("flag", D.v, rule.tag), D, listed)
 
     block_index = {blk: i for i, blk in enumerate(D.blocks)}
 
@@ -522,13 +544,10 @@ def matching_graph(
     m = G.degree
     if G.transitivity_degree() < 3:
         raise ConstructionError("matching construction needs 3-transitivity")
-    npairs = m * (m - 1)
-    edges = [
-        (pair_index(m, i, j), pair_index(m, j, i))
-        for i in range(m)
-        for j in range(i + 1, m)
-    ]
-    graph = Graph.from_edges(npairs, edges)
+    # each pair (i, j) is adjacent to (j, i) alone
+    graph = _rule_graph(("match", m, ""), None, lambda: [
+        (pair_index(m, j, i),) for i in range(m) for j in range(m) if j != i
+    ])
     params = []
     if group_label:
         params.append(("group", group_label))

@@ -24,28 +24,39 @@ class Graph:
 
     __slots__ = ("n", "adj", "nbrs")
 
-    def __init__(self, n: int, adj: Sequence[int], nbrs: Sequence[tuple] | None = None):
-        """``nbrs``, when given, must list the set bits of each row."""
+    def __init__(
+        self, n: int, adj: Sequence[int] | None = None, *, nbrs: Sequence[tuple] | None = None
+    ):
+        """Bitset rows ``adj``, or else the rows of ``nbrs``, each vertex's
+        neighbours 0..n-1 as a strictly ascending tuple."""
+        if (adj is None) == (nbrs is None):
+            raise TypeError("Graph takes either adjacency rows or neighbour tuples")
         if n < 1:
             raise GraphError("graph needs at least one vertex")
-        if len(adj) != n:
-            raise GraphError(f"adjacency has {len(adj)} rows for {n} vertices")
-        rows = tuple(int(r) for r in adj)
+        given = nbrs is not None
+        rows = tuple(_rows(n, nbrs) if given else map(int, adj))
+        if len(rows) != n:
+            raise GraphError(f"adjacency has {len(rows)} rows for {n} vertices")
         full = (1 << n) - 1
         for u, row in enumerate(rows):
             if row < 0 or row & ~full:
                 raise GraphError(f"row {u} has bits outside 0..{n - 1}")
             if row >> u & 1:
                 raise GraphError(f"loop at vertex {u}")
-        nbrs = tuple(nbrs) if nbrs is not None else tuple(tuple(_bits(r)) for r in rows)
+        nbrs = tuple(nbrs) if given else tuple(tuple(_bits(r)) for r in rows)
         # walking u upward meets the vertices that list v in ascending
-        # order, so each must be the next entry of v's sorted tuple
+        # order, so each must be the next entry of v's tuple; a walk that
+        # passes leaves only repeats, which make the tuples outnumber the bits
         its = [iter(nb) for nb in nbrs]
-        if any(next(its[v], None) != u for u, nb in enumerate(nbrs) for v in nb):
-            for u, nb in enumerate(nbrs):
-                for v in nb:
+        if any(next(its[v], None) != u for u, nb in enumerate(nbrs) for v in nb) or (
+            given and sum(map(len, nbrs)) != sum(r.bit_count() for r in rows)
+        ):
+            for u, row in enumerate(rows):
+                for v in _bits(row):
                     if not rows[v] >> u & 1:
                         raise GraphError(f"edge {u}-{v} missing its reverse")
+            u = next(u for u, nb in enumerate(nbrs) if nb != tuple(_bits(rows[u])))
+            raise GraphError(f"neighbours of vertex {u} are unsorted or repeat a vertex")
         self.n = n
         self.adj = rows
         self.nbrs: tuple[tuple[int, ...], ...] = nbrs
@@ -61,9 +72,7 @@ class Graph:
                 raise GraphError(f"edge {u}-{v} out of range")
             nbrs[u].append(ids[v])
             nbrs[v].append(ids[u])
-        for u, nb in enumerate(nbrs):
-            nbrs[u] = tuple(sorted(set(nb)))
-        return cls(n, _rows(n, nbrs), nbrs)
+        return cls(n, nbrs=[tuple(sorted(set(nb))) for nb in nbrs])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -207,7 +216,7 @@ def orbital_graph(G: PermutationGroup, x: int, y: int) -> Graph:
     # self-paired, so N(u) = {v : (u, v) in the orbit of (x, y)}: the walk
     # that check kept, G_x.y carried along x's orbit, and empty off it
     nbrs = [nb or () for nb in G._translated[1]]
-    return Graph(G.degree, _rows(G.degree, nbrs), nbrs)
+    return Graph(G.degree, nbrs=nbrs)
 
 
 def quotient_graph(g: Graph, P: Partition, hits: Sequence[int] = ()) -> Graph:

@@ -70,10 +70,12 @@ def test_missing_star_is_a_failure_line(monkeypatch):
 
 def test_selftest_measures_each_triple_once(monkeypatch):
     """Every triple keeps its hypothesis report and parameters, so over a
-    whole selftest no graph is checked for arc-transitivity twice and no
-    triple's parameters are measured twice; and each triple runs its
-    hypotheses before anything measures it, so a measurement reads one
-    block pair."""
+    whole selftest no graph is checked for arc-transitivity twice under
+    one group and no triple's parameters are measured twice; and each
+    triple runs its hypotheses before anything measures it, so a
+    measurement reads one block pair.  A rule graph is shared by the
+    groups acting on it, so a triple is its graph with its group or
+    partition."""
     from symquot import classify, constructions
 
     for cached in (acceptance._triple, acceptance._cr_sweep, acceptance._tcr9_cases):
@@ -83,22 +85,22 @@ def test_selftest_measures_each_triple_once(monkeypatch):
     real_check, real_design = classify.is_g_symmetric, classify.design_from_partition
     real_pair, real_build = classify.cross_counts, constructions._build
     monkeypatch.setattr(
-        classify, "is_g_symmetric", lambda g, G: checked.append(g) or real_check(g, G)
+        classify, "is_g_symmetric", lambda g, G: checked.append((g, G)) or real_check(g, G)
     )
     # a measurement reads block 0's design once, after every count holds
     monkeypatch.setattr(
         classify,
         "design_from_partition",
-        lambda g, P, i: measured.append(g) or real_design(g, P, i),
+        lambda g, P, i: measured.append((g, P)) or real_design(g, P, i),
     )
     monkeypatch.setattr(
         classify, "cross_counts", lambda g, P, i, j: pairs.append(g) or real_pair(g, P, i, j)
     )
     monkeypatch.setattr(constructions, "_build", lambda tag: built.append(tag) or real_build(tag))
     assert all(r.passed for r in acceptance.run_all())
-    for graphs in (checked, measured):
-        assert len(graphs) > 100
-        assert len({id(g) for g in graphs}) == len(graphs)
+    for triples in (checked, measured):
+        assert len(triples) > 100
+        assert len({(id(g), id(X)) for g, X in triples}) == len(triples)
     assert len(built) > 100
     assert len(pairs) <= len(built)
 

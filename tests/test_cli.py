@@ -493,6 +493,39 @@ def test_shared_triple_prints_what_fresh_builds_print(tag, reverse):
     assert shared == fresh
 
 
+def _forget_builds():
+    constructions._kept.clear()
+    constructions._rule_graphs.clear()
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        (
+            "pair:group=m22:design=s22:rule=design_out",
+            "pair:group=aut_m22:design=s22:rule=design_out",
+        ),
+        (
+            "flag:design=s22:group=aut_m22:rule=same_block",
+            "flag:design=s22:group=m22:rule=same_block",
+        ),
+        ("match:group=s6", "match:group=a6"),
+        ("pair:group=a6:rule=same_second", "pair:group=s6:rule=same_second"),
+    ],
+)
+def test_shared_rule_graph_prints_what_fresh_builds_print(first, second):
+    """A triple on the rule graph another group's triple listed prints,
+    under every verb, what a triple listed for it alone prints."""
+    for verb, *flags in TAG_VERBS:
+        _forget_builds()
+        fresh = invoke(verb, second, *flags)
+        assert fresh[0] == 0 and fresh[2] == ""
+        _forget_builds()
+        graph = build_triple(parse_tag(first)).graph
+        assert invoke(verb, second, *flags) == fresh
+        assert build_triple(parse_tag(second)).graph is graph
+
+
 def test_structure_recognized_once_per_triple(monkeypatch):
     """construct and classify of one tag read the kept triple's shape."""
     from symquot.graphs import recognize_structure

@@ -760,3 +760,105 @@ class TestKeptTriple:
         assert inner.provenance == inner_tag and inner.group is not S.group
         assert inner.graph != S.graph
         assert build_triple(star_tag) is not S
+
+
+# Tags that differ by group alone, on one rule graph.  s22 and steiner_22
+# name one design object, so a flag rule shares across the two labels.
+SHARED_GRAPH_TAGS = [
+    (
+        "pair:group=m22:design=s22:rule=design_out",
+        "pair:group=aut_m22:design=s22:rule=design_out",
+    ),
+    (
+        "flag:design=steiner_22:group=m22:rule=m22_meet_two",
+        "flag:design=s22:group=aut_m22:rule=m22_meet_two",
+    ),
+    ("match:group=s6", "match:group=a6"),
+]
+
+
+class TestSharedRuleGraph:
+    """pair_graph, flag_graph and matching_graph keep the last rule graph
+    they listed and hand it to the next triple with the same kind, point
+    count, rule and design, whatever its group."""
+
+    @pytest.fixture(autouse=True)
+    def empty_slots(self):
+        constructions._kept.clear()
+        constructions._rule_graphs.clear()
+
+    @pytest.mark.parametrize("first,second", SHARED_GRAPH_TAGS)
+    def test_rows_differing_by_group_share_one_graph(self, first, second):
+        T = build_triple(parse_tag(first))
+        U = build_triple(parse_tag(second))
+        assert U.graph is T.graph
+        assert U.group is not T.group and U.group.order() != T.group.order()
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("pair:group=s6:rule=same_second", "pair:group=s6:rule=all_distinct"),
+            (
+                "flag:design=ag_d3:group=agl_d3:rule=same_block",
+                "flag:design=ag_d3:group=agl_d3:rule=disjoint_blocks",
+            ),
+            ("pair:group=s5:rule=same_second", "pair:group=s6:rule=same_second"),
+            ("match:group=s5", "match:group=s6"),
+            ("pair:group=m11_12:design=h12:rule=design_in", "pair:group=m11_12:rule=all_distinct"),
+        ],
+    )
+    def test_another_rule_design_or_point_count_lists_its_own(self, first, second):
+        T = build_triple(parse_tag(first))
+        U = build_triple(parse_tag(second))
+        assert U.graph is not T.graph and U.graph != T.graph
+
+    def test_an_equal_design_object_lists_its_own(self):
+        # the key holds the design itself, not what it equals
+        D = ag_design(3, 2)
+        copy = IncidenceStructure(D.v, D.blocks)
+        assert copy == D
+        G = agl(3, 2)
+        T = flag_graph(D, G, SAME_BLOCK)
+        U = flag_graph(copy, G, SAME_BLOCK)
+        assert U.graph is not T.graph and U.graph == T.graph
+
+    def test_checks_still_run_on_a_shared_graph(self):
+        # the slot holds S6's matching graph; a group that is not
+        # 3-transitive on the same six points is still refused
+        matching_graph(sym_alt(6, False))
+        cyclic = PermutationGroup(6, [Permutation([1, 2, 3, 4, 5, 0])])
+        with pytest.raises(ConstructionError, match="3-transitivity"):
+            matching_graph(cyclic)
+        with pytest.raises(ConstructionError, match="transitive"):
+            pair_graph(PermutationGroup(6, [Permutation([1, 0, 2, 3, 4, 5])]), SAME_SECOND)
+        D = steiner_3_22_6()
+        flag_graph(D, mathieu("M22"), M22_MEET_TWO)
+        with pytest.raises(ConstructionError, match="does not preserve"):
+            flag_graph(D, sym_alt(22, True), M22_MEET_TWO)
+
+    def test_census_lists_each_rule_graph_once(self, monkeypatch):
+        from symquot.classify import census
+
+        listed = []
+        real = constructions._rule_graph
+
+        def spy(what, design, nbrs):
+            def count():
+                listed.append((*what, id(design)))
+                return nbrs()
+
+            return real(what, design, count)
+
+        monkeypatch.setattr(constructions, "_rule_graph", spy)
+        census(9, 3)
+        assert len(listed) == len(set(listed)) == 41
+
+    def test_census_keeps_instance_order_and_fresh_verdicts(self):
+        from symquot.classify import _census_instances, census, classify_triple
+
+        rows = census(9, 3)
+        assert [(r.tag, r.expected) for r in rows] == _census_instances(9, 3)
+        for row in rows:
+            constructions._kept.clear()
+            constructions._rule_graphs.clear()
+            assert row.verdict == classify_triple(build_triple(parse_tag(row.tag)))

@@ -16,7 +16,6 @@ from symquot.graphs import (
     Graph,
     Partition,
     _bits,
-    _rows,
     connected_components,
     cross_counts,
     graph_from_dimacs,
@@ -372,7 +371,7 @@ class TestSymmetryCheck:
         nbrs = list(g.nbrs)
         for x, old, new in ((a, b, d), (b, a, c), (c, d, b), (d, c, a)):
             nbrs[x] = tuple(sorted(set(nbrs[x]) - {old} | {new}))
-        forged = Graph(g.n, _rows(g.n, nbrs), nbrs)
+        forged = Graph(g.n, nbrs=nbrs)
         assert forged.nbrs[0] is g.nbrs[0] and forged.valency() == g.valency()
         assert not is_g_symmetric(forged, G)
         assert is_g_symmetric(g, G)
@@ -552,6 +551,7 @@ def test_nbrs_match_rows(g):
     rebuilt = Graph(g.n, g.adj)
     _assert_nbrs_match_rows(rebuilt)
     assert rebuilt.nbrs == g.nbrs
+    assert Graph(g.n, nbrs=g.nbrs).adj == g.adj
     assert g.edges() == [
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1
     ]
@@ -598,6 +598,36 @@ def test_from_edges_merges_repeated_edges():
 def test_bad_rows_still_raise(n, rows, message):
     with pytest.raises(GraphError, match=message):
         Graph(n, rows)
+
+
+UNSORTED = "neighbours of vertex 0 are unsorted or repeat a vertex"
+
+
+@pytest.mark.parametrize(
+    "n,nbrs,message",
+    [
+        # symmetric, so no edge lacks its reverse, yet not sorted sets
+        (3, [(2, 1), (0,), (0,)], UNSORTED),
+        (3, [(1, 1), (0, 0), ()], UNSORTED),
+        (8, [(-1,), (), (), (), (), (), (), (0,)], UNSORTED),
+        (3, [(1,), (), ()], "edge 0-1 missing its reverse"),
+        (3, [(2, 1), (), ()], "edge 0-1 missing its reverse"),
+        (3, [(0,), (), ()], "loop at vertex 0"),
+        (3, [(3,), (), ()], "row 0 has bits outside 0..2"),
+        (3, [(1,), (0,)], "adjacency has 2 rows for 3 vertices"),
+    ],
+)
+def test_bad_neighbour_tuples_raise(n, nbrs, message):
+    with pytest.raises(GraphError, match=message):
+        Graph(n, nbrs=nbrs)
+
+
+def test_rows_or_neighbour_tuples_not_both():
+    # rows and tuples that disagree (graph6 would read edge 0-2, JSON 0-1)
+    with pytest.raises(TypeError):
+        Graph(3, [0b100, 0, 0b001], nbrs=[(1,), (0,), ()])
+    with pytest.raises(TypeError):
+        Graph(3)
 
 
 @pytest.mark.parametrize(
