@@ -15,7 +15,7 @@ from .errors import (  # noqa: F401
     NotSelfPairedError,
     SymquotError,
 )
-from .ffield import FiniteField, FieldElement, ProjPoint, INFINITY, field  # noqa: F401
+from .ffield import FiniteField, FieldElement, field  # noqa: F401
 from .permgroup import Permutation, PermutationGroup  # noqa: F401
 from .groups_catalog import (  # noqa: F401
     agl,

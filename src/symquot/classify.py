@@ -150,7 +150,7 @@ def verify_hypotheses(T: Triple) -> dict:
         T._report = {
             "arc_transitive": is_g_symmetric(g, G),
             "invariant_partition": (
-                P.uniform_block_size() is not None and G.is_block_system(P.blocks)
+                P.uniform_block_size() is not None and G.is_block_system(P)
             ),
             "no_internal_edges": not has_intra_block_edges(g, P, T.hits),
             "complete_quotient": T.quotient.edge_count == c * (c - 1) // 2,
@@ -437,7 +437,7 @@ def classify_triple(T: Triple) -> ClassificationVerdict:
         return ClassificationVerdict(report, P, None, None, structure)
     label = None
     if case in ("b", "d"):
-        blocks_action, kernel_trivial = T.group.induced_action(T.partition.blocks)
+        blocks_action, kernel_trivial = T.group.induced_action(T.partition)
         if case == "b":
             label = (
                 "1.1(b)(i)"

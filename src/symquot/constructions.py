@@ -173,7 +173,7 @@ def pair_action(G: PermutationGroup) -> LiftedGroup:
             out.extend(a * w + b - (b > a) for b in im[:i] + im[i + 1:])
         return tuple(out)
 
-    return LiftedGroup(G, lift, pair_partition(m).blocks)
+    return LiftedGroup(G, lift, pair_partition(m))
 
 
 def pair_partition(m: int) -> Partition:
@@ -274,7 +274,7 @@ def _cross_ratio_triple(
     y = pair_index(m, 2, 1 + el.index)  # (1, d)
     graph = orbital_graph(big, x, y)
     prov = Provenance(kind, (("q", str(q)), ("d", str(el.index)), ("s", str(s))))
-    triple = Triple(graph, big, pair_partition(m), prov)
+    triple = Triple(graph, big, big.fibres, prov)
     _assert_pair_params(triple, q - 1, sd // s, prov.tag)
     return triple
 
@@ -364,7 +364,8 @@ def pair_graph(
         params.append(("design", design_label or f"v{D.v}b{D.b}"))
     params.append(("rule", rule.tag))
     prov = Provenance("pair", tuple(params))
-    return Triple(graph, pair_action(G), pair_partition(m), prov)
+    big = pair_action(G)
+    return Triple(graph, big, big.fibres, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +465,7 @@ def flag_graph(
         start += count
     # Partition refuses an empty block, so every point lies on a flag and
     # the lift is faithful.
-    partition = Partition(blocks)
-    flag_group = LiftedGroup(G, lift, partition.blocks)
+    flag_group = LiftedGroup(G, lift, Partition(blocks))
 
     params = []
     if design_label:
@@ -474,7 +474,7 @@ def flag_graph(
         params.append(("group", group_label))
     params.append(("rule", rule.tag))
     prov = Provenance("flag", tuple(params))
-    return Triple(graph, flag_group, partition, prov)
+    return Triple(graph, flag_group, flag_group.fibres, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +552,8 @@ def matching_graph(
     if group_label:
         params.append(("group", group_label))
     prov = Provenance("match", tuple(params))
-    return Triple(graph, pair_action(G), pair_partition(m), prov)
+    big = pair_action(G)
+    return Triple(graph, big, big.fibres, prov)
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,6 @@ class IncidenceStructure:
         mapped = Counter(tuple(sorted(g(x) for x in blk)) for blk in self.blocks)
         return mapped == Counter(self.blocks)
 
-    def as_json(self) -> dict:
-        return {"v": self.v, "blocks": [list(blk) for blk in self.blocks]}
-
     def __eq__(self, other):
         return (
             isinstance(other, IncidenceStructure)

@@ -1,10 +1,13 @@
-"""Finite fields GF(p^n) in polynomial basis, and the projective line over them.
+"""Finite fields GF(p^n) in polynomial basis.
 
-Elements are coefficient vectors over GF(p) reduced modulo a fixed monic
-irreducible polynomial.  Element enumeration order is fixed once and for all
-(see FiniteField.element): it drives primitive-element choice, serialization
-and the point labels used everywhere else in the package, so nothing here may
-depend on hash order or randomness.
+Elements are coefficient vectors over GF(p) reduced modulo the
+lexicographically least monic irreducible polynomial of degree n (constant
+term varying fastest), so every run and every host agrees on the
+representation.  Element enumeration order is fixed once and for all (see
+FiniteField.element): it drives primitive-element choice, serialization
+and the labels of the projective line (0 for the point at infinity, 1 + i
+for the element of index i), so nothing here may depend on hash order or
+randomness.
 """
 
 from __future__ import annotations
@@ -13,23 +16,6 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import FieldError
-
-# Fixed moduli, ascending coefficients, leading coefficient included.
-# Each entry is the lexicographically least monic irreducible of its degree
-# under the package-wide enumeration order (constant term varies fastest);
-# frozen here so every run and every host agrees on the representation.
-_MODULUS_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (2, 5): (1, 0, 1, 0, 0, 1),
-    (2, 6): (1, 1, 0, 0, 0, 0, 1),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 2, 0, 1),
-    (3, 4): (2, 1, 0, 0, 1),
-    (5, 2): (2, 0, 1),
-}
 
 _ORDER_CAP = 2 ** 20
 
@@ -219,12 +205,7 @@ class FiniteField:
         self.p = p
         self.n = n
         self.order = order
-        if n == 1:
-            self.modulus: tuple[int, ...] = (0, 1)  # the polynomial x
-        else:
-            self.modulus = _MODULUS_TABLE.get((p, n)) or _search_modulus(p, n)
-            if not _is_irreducible(self.modulus, p):
-                raise FieldError("modulus failed irreducibility check")
+        self.modulus = _search_modulus(p, n)  # x when n = 1
         self.zero = FieldElement(self, (0,) * n)
         one = [0] * n
         one[0] = 1
@@ -288,42 +269,3 @@ def field(p: int, n: int = 1) -> FiniteField:
     """Shared constructor: identical (p, n) returns the identical object, so
     element identity checks across the package are safe."""
     return FiniteField(p, n)
-
-
-class ProjPoint:
-    """A point of PG(1,q): either a field element or the point at infinity."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: FieldElement | None):
-        self.value = value
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
-
-    def label(self, F: FiniteField) -> int:
-        """Canonical point label: 0 for infinity, 1 + element index otherwise.
-
-        These labels are the vertex/point numbering used by every group and
-        graph built over PG(1,q)."""
-        if self.value is None:
-            return 0
-        if self.value.field is not F:
-            raise FieldError("point belongs to a different field")
-        return 1 + self.value.index
-
-    def as_json(self) -> int | str:
-        return "inf" if self.value is None else self.value.index
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ProjPoint) and other.value == self.value
-
-    def __hash__(self) -> int:
-        return hash(("inf",)) if self.value is None else hash(self.value)
-
-    def __repr__(self) -> str:
-        return "Proj(inf)" if self.value is None else f"Proj({self.value!r})"
-
-
-INFINITY = ProjPoint(None)

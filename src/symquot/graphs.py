@@ -34,23 +34,37 @@ class Graph:
         if n < 1:
             raise GraphError("graph needs at least one vertex")
         given = nbrs is not None
-        rows = tuple(_rows(n, nbrs) if given else map(int, adj))
-        if len(rows) != n:
-            raise GraphError(f"adjacency has {len(rows)} rows for {n} vertices")
-        full = (1 << n) - 1
-        for u, row in enumerate(rows):
-            if row < 0 or row & ~full:
-                raise GraphError(f"row {u} has bits outside 0..{n - 1}")
-            if row >> u & 1:
-                raise GraphError(f"loop at vertex {u}")
-        nbrs = tuple(nbrs) if given else tuple(tuple(_bits(r)) for r in rows)
+        listed = tuple(nbrs if given else map(int, adj))
+        if len(listed) != n:
+            raise GraphError(f"adjacency has {len(listed)} rows for {n} vertices")
+        if given:
+            nbrs = listed
+        else:
+            rows = listed
+            full = (1 << n) - 1
+            for u, row in enumerate(rows):
+                if row < 0 or row & ~full:
+                    raise GraphError(f"row {u} has bits outside 0..{n - 1}")
+            nbrs = tuple(tuple(_bits(r)) for r in rows)
         # walking u upward meets the vertices that list v in ascending
         # order, so each must be the next entry of v's tuple; a walk that
-        # passes leaves only repeats, which make the tuples outnumber the bits
+        # passes has met every entry as some u, so in range and in order
         its = [iter(nb) for nb in nbrs]
-        if any(next(its[v], None) != u for u, nb in enumerate(nbrs) for v in nb) or (
-            given and sum(map(len, nbrs)) != sum(r.bit_count() for r in rows)
-        ):
+        try:
+            walked = all(next(its[v], None) == u for u, nb in enumerate(nbrs) for v in nb)
+        except IndexError:
+            walked = False
+        if given:
+            if not walked:  # _rows would wrap a neighbour outside 0..n-1
+                for u, nb in enumerate(nbrs):
+                    if any(not 0 <= v < n for v in nb):
+                        raise GraphError(f"row {u} has bits outside 0..{n - 1}")
+            rows = tuple(_rows(n, nbrs))
+        for u, row in enumerate(rows):
+            if row >> u & 1:
+                raise GraphError(f"loop at vertex {u}")
+        # repeats pass the walk, and make the tuples outnumber the bits
+        if not walked or (given and sum(map(len, nbrs)) != sum(r.bit_count() for r in rows)):
             for u, row in enumerate(rows):
                 for v in _bits(row):
                     if not rows[v] >> u & 1:
@@ -76,9 +90,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def degree(self, u: int) -> int:
-        return len(self.nbrs[u])
 
     @property
     def edge_count(self) -> int:

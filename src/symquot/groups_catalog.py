@@ -18,57 +18,24 @@ from importlib import resources
 
 from .designs import design_3_12_6_2, set_orbit, steiner_3_22_6
 from .errors import CatalogError
-from .ffield import INFINITY, FiniteField, ProjPoint, field
+from .ffield import FieldElement, FiniteField, field
 from .permgroup import Permutation, PermutationGroup
 
 
-class MoebiusTransformation:
-    """z maps to (a f(z) + b) / (c f(z) + d), where f is the e-th power of
-    the Frobenius automorphism applied first.  Coefficients are scaled so
-    the first nonzero one is 1."""
-
-    __slots__ = ("field", "a", "b", "c", "d", "e")
-
-    def __init__(self, a, b, c, d, e: int = 0):
-        F = a.field
-        if any(x.field is not F for x in (b, c, d)):
-            raise CatalogError("coefficients from different fields")
-        if (a * d - b * c).index == 0:
-            raise CatalogError("degenerate transformation: ad - bc = 0")
-        for lead in (a, b, c, d):
-            if lead.index != 0:
-                inv = lead.inverse()
-                a, b, c, d = inv * a, inv * b, inv * c, inv * d
-                break
-        self.field: FiniteField = F
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self.e = e % F.n
-
-    def apply(self, z: ProjPoint) -> ProjPoint:
-        if z.is_infinity:
-            if self.c.index == 0:
-                return INFINITY
-            return ProjPoint(self.a / self.c)
-        w = z.value.frobenius(self.e)
-        denom = self.c * w + self.d
-        if denom.index == 0:
-            return INFINITY
-        return ProjPoint((self.a * w + self.b) / denom)
-
-    def permutation(self) -> Permutation:
-        """Action on projective-line labels (0 is the point at infinity,
-        1 + i the field element of enumeration index i)."""
-        F = self.field
-        images = [self.apply(INFINITY).label(F)]
-        for i in range(F.order):
-            images.append(self.apply(ProjPoint(F.element(i))).label(F))
-        return Permutation(images)
-
-    def __repr__(self) -> str:
-        core = f"({self.a})z+({self.b}) / ({self.c})z+({self.d})"
-        if self.e:
-            return f"Moebius[{core} after frob^{self.e}]"
-        return f"Moebius[{core}]"
+def _moebius(
+    a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement, e: int = 0
+) -> Permutation:
+    """z -> (a f(z) + b) / (c f(z) + d) on the projective-line labels (0 is
+    the point at infinity, 1 + i the field element of index i), where f is
+    the e-th power of the Frobenius automorphism, applied first."""
+    if (a * d - b * c).is_zero():
+        raise CatalogError("degenerate transformation: ad - bc = 0")
+    images = [0 if c.is_zero() else 1 + (a / c).index]
+    for z in a.field:
+        w = z.frobenius(e)
+        denom = c * w + d
+        images.append(0 if denom.is_zero() else 1 + ((a * w + b) / denom).index)
+    return Permutation(images)
 
 
 def _field_for(q: int) -> FiniteField:
@@ -87,11 +54,6 @@ def _field_for(q: int) -> FiniteField:
     if m != 1:
         raise CatalogError(f"not a prime power: {q}")
     return field(p, n)
-
-
-def _frobenius_perm(F: FiniteField, s: int) -> Permutation:
-    images = [0] + [1 + F.element(i).frobenius(s).index for i in range(F.order)]
-    return Permutation(images)
 
 
 def _validated(
@@ -126,11 +88,11 @@ def pgl2(q: int) -> PermutationGroup:
     zero, one = F.element(0), F.element(1)
     a = F.primitive_element()
     gens = [
-        MoebiusTransformation(one, one, zero, one),  # z + 1
-        MoebiusTransformation(a, zero, zero, one),  # a z
-        MoebiusTransformation(zero, one, one, zero),  # 1 / z
+        _moebius(one, one, zero, one),  # z + 1
+        _moebius(a, zero, zero, one),  # a z
+        _moebius(zero, one, one, zero),  # 1 / z
     ]
-    G = PermutationGroup(q + 1, [m.permutation() for m in gens])
+    G = PermutationGroup(q + 1, gens)
     _validated(G, q + 1, (q + 1) * q * (q - 1), _pgl_like_trans(q, False), f"pgl2({q})")
     # 3-transitive: every three-point stabilizer is conjugate to the base's
     if G.order() != math.prod(len(lvl.orbit) for lvl in G.chain.levels[:3]):
@@ -149,11 +111,11 @@ def psl2(q: int) -> PermutationGroup:
     a = F.primitive_element()
     minus = zero - one
     gens = [
-        MoebiusTransformation(one, one, zero, one),  # z + 1
-        MoebiusTransformation(a * a, zero, zero, one),  # a^2 z
-        MoebiusTransformation(zero, minus, one, zero),  # -1 / z
+        _moebius(one, one, zero, one),  # z + 1
+        _moebius(a * a, zero, zero, one),  # a^2 z
+        _moebius(zero, minus, one, zero),  # -1 / z
     ]
-    G = PermutationGroup(q + 1, [m.permutation() for m in gens])
+    G = PermutationGroup(q + 1, gens)
     order = (q + 1) * q * (q - 1) // 2
     got = G.order()
     if got != order:
@@ -174,7 +136,7 @@ def pgammal_subgroup(q: int, s: int) -> PermutationGroup:
     if s < 1 or F.n % s:
         raise CatalogError(f"s={s} must divide the field degree {F.n}")
     gens = list(pgl2(q).generators)
-    sigma = _frobenius_perm(F, s)
+    sigma = _moebius(F.one, F.zero, F.zero, F.one, s)
     if not sigma.is_identity():
         gens.append(sigma)
     G = PermutationGroup(q + 1, gens)
@@ -195,12 +157,12 @@ def m_group(s: int, q: int) -> PermutationGroup:
         raise CatalogError(f"s={s} must divide {F.n // 2}")
     zero, one = F.element(0), F.element(1)
     a = F.primitive_element()
-    twist = MoebiusTransformation(a, zero, zero, one, e=s)  # a * frob^s(z)
-    gens = list(psl2(q).generators) + [twist.permutation()]
+    twist = _moebius(a, zero, zero, one, s)  # a * frob^s(z)
+    gens = list(psl2(q).generators) + [twist]
     G = PermutationGroup(q + 1, gens)
     order = (q + 1) * q * (q - 1) * F.n // (2 * s)
     _validated(G, q + 1, order, 3, f"m_group({s},{q})")
-    if _frobenius_perm(F, s) in G:
+    if _moebius(one, zero, zero, one, s) in G:
         raise CatalogError(
             f"m_group({s},{q}) contains the plain field automorphism; "
             "it would coincide with an untwisted group"

@@ -27,9 +27,12 @@ pair BFS over the whole domain for suborbits.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import GroupError
+
+if TYPE_CHECKING:
+    from .graphs import Partition
 
 DEGREE_CAP = 10 ** 4
 PAIR_BFS_CAP = 10 ** 7
@@ -367,58 +370,37 @@ class PermutationGroup:
             k += 1
         return k + 1 if k == len(levels) and self.degree - k == 1 else k
 
-    def _check_blocks(self, blocks: Sequence[Sequence[int]]) -> list[list[int]]:
-        cover = [-1] * self.degree
-        out = []
-        for bi, blk in enumerate(blocks):
-            blk = sorted(blk)
-            if not blk:
-                raise GroupError("empty block")
-            for x in blk:
-                if not 0 <= x < self.degree or cover[x] != -1:
-                    raise GroupError("not a partition of the domain")
-                cover[x] = bi
-            out.append(blk)
-        if any(c == -1 for c in cover):
-            raise GroupError("partition misses points")
-        return out
-
-    def is_block_system(self, blocks: Sequence[Sequence[int]]) -> bool:
-        blks = self._check_blocks(blocks)
-        block_of = [0] * self.degree
-        for bi, blk in enumerate(blks):
-            for x in blk:
-                block_of[x] = bi
+    def is_block_system(self, P: Partition) -> bool:
+        """True when every generator maps each block of P onto a block."""
+        if P.n != self.degree:
+            raise GroupError(
+                f"partition of {P.n} points for a group of degree {self.degree}"
+            )
+        block_of = P.block_of
         for im in self._gen_images:
-            for blk in blks:
+            for blk in P.blocks:
                 target = block_of[im[blk[0]]]
                 if any(block_of[im[x]] != target for x in blk):
                     return False
         return True
 
-    def induced_action(
-        self, blocks: Sequence[Sequence[int]]
-    ) -> tuple["PermutationGroup", bool]:
+    def induced_action(self, P: Partition) -> tuple["PermutationGroup", bool]:
         """Action on block indices, plus True iff its kernel is trivial.
 
         The kernel certificate comes from sifting shadow copies of the
         original permutations through the block-action chain: a relation
         that is trivial on blocks but not on points is a kernel witness.
         """
-        blks = self._check_blocks(blocks)
-        if not self.is_block_system(blks):
+        if not self.is_block_system(P):
             raise GroupError("partition is not a block system for this group")
-        block_of = [0] * self.degree
-        for bi, blk in enumerate(blks):
-            for x in blk:
-                block_of[x] = bi
-        img_gens = []
-        for im in self._gen_images:
-            img_gens.append(tuple(block_of[im[blk[0]]] for blk in blks))
+        block_of = P.block_of
+        img_gens = [
+            tuple(block_of[im[blk[0]]] for blk in P.blocks) for im in self._gen_images
+        ]
         paired = [(img, im) for img, im in zip(img_gens, self._gen_images)]
-        ch = _Chain(len(blks), paired, aux_degree=self.degree)
+        ch = _Chain(len(P.blocks), paired, aux_degree=self.degree)
         distinct = list(dict.fromkeys(img_gens))
-        image = PermutationGroup(len(blks), [Permutation(t) for t in distinct])
+        image = PermutationGroup(len(P.blocks), [Permutation(t) for t in distinct])
         return image, ch.kernel_witness is None
 
     def suborbit(self, x: int, y: int) -> list[int]:
@@ -472,47 +454,45 @@ class LiftedGroup(PermutationGroup):
 
     ``lift(point_images)`` is the image tuple of a point permutation on
     the lifted domain; ``generators[i]`` is ``lift`` of
-    ``point_group.generators[i]``.  ``fibres[p]`` lists the lifted points
-    over point p (ordered pairs with first coordinate p, or flags through
-    p) and covers the domain.  The builder guarantees faithfulness, so the
-    order, the action on the fibres and suborbits come from the point
-    group; everything else takes the generic path.
+    ``point_group.generators[i]``.  ``fibres`` is the builder's Partition of
+    the domain, whose block p lists the lifted points over point p (ordered
+    pairs with first coordinate p, or flags through p).  The builder
+    guarantees faithfulness, so the order, the action on the fibres and
+    suborbits come from the point group; everything else takes the generic
+    path.
     """
 
     def __init__(
         self,
         point_group: PermutationGroup,
         lift: Callable[[tuple[int, ...]], tuple[int, ...]],
-        fibres: Sequence[Sequence[int]],
+        fibres: Partition,
     ):
         self.point_group = point_group
         self.lift = lift
-        self.fibres = tuple(tuple(f) for f in fibres)
-        self._fibre_of = {z: p for p, fibre in enumerate(self.fibres) for z in fibre}
+        self.fibres = fibres
         self._fibre_stabilizers: dict[int, list[tuple[int, ...]]] = {}
         lifts = [Permutation(lift(g.images)) for g in point_group.generators]
-        super().__init__(len(self._fibre_of), lifts)
+        super().__init__(fibres.n, lifts)
 
     def order(self) -> int:
         return self.point_group.order()
 
-    def induced_action(
-        self, blocks: Sequence[Sequence[int]]
-    ) -> tuple[PermutationGroup, bool]:
-        if tuple(tuple(sorted(b)) for b in blocks) != self.fibres:
-            return super().induced_action(blocks)
-        P = self.point_group
-        distinct = list(dict.fromkeys(g.images for g in P.generators))
-        if len(distinct) == len(P.generators):
-            return P, True
-        return PermutationGroup(P.degree, [Permutation(t) for t in distinct]), True
+    def induced_action(self, P: Partition) -> tuple[PermutationGroup, bool]:
+        if P.blocks != self.fibres.blocks:
+            return super().induced_action(P)
+        G = self.point_group
+        distinct = list(dict.fromkeys(g.images for g in G.generators))
+        if len(distinct) == len(G.generators):
+            return G, True
+        return PermutationGroup(G.degree, [Permutation(t) for t in distinct]), True
 
     def suborbit(self, x: int, y: int) -> list[int]:
         """The stabilizer of x lies in that of its fibre's point p, so the
         pair BFS runs under the lift of G_p: at most |fibre| times the
         suborbit's length in states."""
-        p = self._fibre_of.get(x)
-        gens = self._fibre_stabilizer(p) if p is not None else ()
+        in_range = 0 <= x < self.degree
+        gens = self._fibre_stabilizer(self.fibres.block_of[x]) if in_range else ()
         return _pair_suborbit(gens, self.degree, x, y)
 
     def _fibre_stabilizer(self, p: int) -> list[tuple[int, ...]]:

@@ -8,6 +8,7 @@ from symquot.classify import (
     CensusRow,
     ClassificationVerdict,
     TripleParams,
+    _census_point_groups,
     _edge_label_kind,
     _fits_projective_line,
     _match,
@@ -32,6 +33,7 @@ from symquot.constructions import (
     PairRule,
     Provenance,
     Triple,
+    _group_spec,
     cross_ratio_graph,
     flag_graph,
     matching_graph,
@@ -432,7 +434,7 @@ class TestClassifyTriple:
     def test_point_stabilizer_of_block_is_trivial(self, agl3, ag3):
         # in the main case the kernel of the block action is trivial
         for T in [cross_ratio_graph(5, 2, 1), flag_graph(ag3, agl3, SAME_BLOCK)]:
-            _, kernel_trivial = T.group.induced_action(T.partition.blocks)
+            _, kernel_trivial = T.group.induced_action(T.partition)
             assert kernel_trivial
 
 
@@ -544,6 +546,15 @@ class TestCensus:
             assert isinstance(row, CensusRow)
             assert row.verdict.corollary_case in ("b", "d")
             assert row.verdict.theorem_case in row.expected
+
+    def test_four_transitive_flags_match_the_groups(self):
+        # the census offers the all-distinct rule on exactly these groups
+        flags = [(m, *row) for m in range(4, 18) for row in _census_point_groups(m)]
+        assert len(flags) == 45
+        for m, token, four_transitive in flags:
+            G = _group_spec(token)[1]()
+            assert G.degree == m
+            assert (G.transitivity_degree() >= 4) == four_transitive, token
 
 
 class TestVerdictJson:

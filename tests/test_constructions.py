@@ -38,9 +38,10 @@ from symquot.designs import (
     design_3_12_6_2,
     steiner_3_22_6,
 )
-from symquot.errors import ConstructionError, NotSelfPairedError, SymquotError
+from symquot.errors import ConstructionError, GroupError, NotSelfPairedError, SymquotError
 from symquot.ffield import field
 from symquot.graphs import (
+    Partition,
     connected_components,
     pair_index,
     quotient_graph,
@@ -87,7 +88,7 @@ class TestPairAction:
         P = pair_partition(5)
         assert P.n == 20
         assert all(len(b) == 4 for b in P.blocks)
-        assert G.is_block_system(P.blocks)
+        assert G.is_block_system(P)
 
     def test_too_small(self):
         with pytest.raises(ConstructionError):
@@ -164,19 +165,26 @@ class TestLiftedGroup:
             star_transform(pair_graph(sym_alt(5, False), ALL_DISTINCT)),
         ):
             assert isinstance(T.group, LiftedGroup)
-            assert T.group.fibres == T.partition.blocks
+            assert T.group.fibres is T.partition
 
     def test_other_partitions_take_the_generic_path(self):
         L = pair_action(sym_alt(4, False))
         # one block: the whole group is kernel
-        img, faithful = L.induced_action([range(L.degree)])
+        img, faithful = L.induced_action(Partition([range(L.degree)]))
         assert img.order() == 1 and not faithful
         # the fibres in another order relabel the points
-        swapped = [L.fibres[1], L.fibres[0]] + list(L.fibres[2:])
+        blocks = L.fibres.blocks
+        swapped = Partition([blocks[1], blocks[0], *blocks[2:]])
         got = L.induced_action(swapped)
         want = _plain(L).induced_action(swapped)
         assert _images(got[0]) == _images(want[0]) and got[1] == want[1]
         assert _images(got[0]) != _images(L.point_group)
+
+    @pytest.mark.parametrize("x", [-1, 20, 10 ** 6])
+    def test_suborbit_of_a_point_off_the_domain_raises(self, x):
+        L = pair_action(sym_alt(5, False))
+        with pytest.raises(GroupError, match="point out of range"):
+            L.suborbit(x, 1)
 
     def test_duplicate_point_generators_collapse(self):
         c = Permutation.from_cycles(3, [(0, 1, 2)])

@@ -118,7 +118,7 @@ class TestConstruction:
             IncidenceStructure(3, [()])
 
     def test_json_roundtrip(self):
-        assert IncidenceStructure(**FANO.as_json()) == FANO
+        assert IncidenceStructure(FANO.v, FANO.blocks) == FANO
 
 
 def _through(D, x):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symquot import INFINITY, FieldError, ProjPoint, field
+from symquot import FieldError, field
 from symquot.ffield import _is_irreducible
 
 
@@ -43,6 +43,28 @@ def test_gf81_modulus_is_irreducible_by_trial_division():
     F = field(3, 4)
     assert len(F.modulus) == 5 and F.modulus[-1] == 1
     assert _is_irreducible(F.modulus, 3)
+
+
+@pytest.mark.parametrize(
+    "p,n,modulus",
+    [
+        (2, 2, (1, 1, 1)),
+        (2, 3, (1, 1, 0, 1)),
+        (2, 4, (1, 1, 0, 0, 1)),
+        (2, 5, (1, 0, 1, 0, 0, 1)),
+        (2, 6, (1, 1, 0, 0, 0, 0, 1)),
+        (2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),
+        (3, 2, (1, 0, 1)),
+        (3, 3, (1, 2, 0, 1)),
+        (3, 4, (2, 1, 0, 0, 1)),
+        (5, 2, (2, 0, 1)),
+        (7, 2, (1, 0, 1)),
+    ],
+)
+def test_modulus_is_the_least_irreducible(p, n, modulus):
+    # ascending coefficients; these fix every element's index, so every
+    # point label and printed graph over the field
+    assert field(p, n).modulus == modulus
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
@@ -104,16 +126,6 @@ def test_primitive_element_has_full_order():
     for p, n in [(2, 3), (3, 2), (2, 4), (5, 1), (7, 1), (3, 4)]:
         F = field(p, n)
         assert F.primitive_element().multiplicative_order() == F.order - 1
-
-
-def test_projective_line_has_q_plus_1_distinct_points():
-    for p, n in [(2, 2), (3, 2), (7, 1)]:
-        F = field(p, n)
-        pts = [INFINITY] + [ProjPoint(x) for x in F]
-        assert len(pts) == F.order + 1
-        assert len(set(pts)) == F.order + 1
-        assert pts[0].is_infinity and pts[0].as_json() == "inf"
-        assert [pt.label(F) for pt in pts] == list(range(F.order + 1))
 
 
 def test_field_construction_rejects_bad_input():

@@ -69,7 +69,7 @@ class TestGraphBasics:
     def test_from_edges(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert g.edges() == [(0, 1), (1, 2)]
-        assert g.degree(1) == 2
+        assert len(g.nbrs[1]) == 2
         assert not g.has_edge(0, 2)
 
     def test_from_edges_rejects_loop(self):
@@ -609,12 +609,17 @@ UNSORTED = "neighbours of vertex 0 are unsorted or repeat a vertex"
         # symmetric, so no edge lacks its reverse, yet not sorted sets
         (3, [(2, 1), (0,), (0,)], UNSORTED),
         (3, [(1, 1), (0, 0), ()], UNSORTED),
-        (8, [(-1,), (), (), (), (), (), (), (0,)], UNSORTED),
+        (8, [(-1,), (), (), (), (), (), (), (0,)], "row 0 has bits outside 0..7"),
         (3, [(1,), (), ()], "edge 0-1 missing its reverse"),
         (3, [(2, 1), (), ()], "edge 0-1 missing its reverse"),
         (3, [(0,), (), ()], "loop at vertex 0"),
         (3, [(3,), (), ()], "row 0 has bits outside 0..2"),
         (3, [(1,), (0,)], "adjacency has 2 rows for 3 vertices"),
+        # out of range, whether _rows would index past the row or wrap
+        (3, [(9,), (), ()], "row 0 has bits outside 0..2"),
+        (3, [(-7,), (0,), ()], "row 0 has bits outside 0..2"),
+        (3, [(-8,), (), ()], "row 0 has bits outside 0..2"),
+        (3, [(1, 99, 2), (0,), (0,)], "row 0 has bits outside 0..2"),
     ],
 )
 def test_bad_neighbour_tuples_raise(n, nbrs, message):

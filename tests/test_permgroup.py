@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from symquot import permgroup
 from symquot.errors import GroupError
+from symquot.graphs import Partition
 from symquot.permgroup import Permutation, PermutationGroup
 
 from _reference import elements
@@ -153,16 +154,20 @@ class TestOrbitsAndStabilizers:
 class TestBlocksAndInducedAction:
     def test_block_system_detection(self):
         D4 = PermutationGroup(4, [P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])])
-        assert D4.is_block_system([[0, 2], [1, 3]])
-        assert not D4.is_block_system([[0, 1], [2, 3]])
+        assert D4.is_block_system(Partition([[0, 2], [1, 3]]))
+        assert not D4.is_block_system(Partition([[0, 1], [2, 3]]))
+
+    @pytest.mark.parametrize("blocks", [[[0, 1], [2]], [[0, 1], [2, 3], [4]]])
+    def test_partition_of_another_degree_rejected(self, blocks):
+        D4 = PermutationGroup(4, [P(4, [(0, 1, 2, 3)]), P(4, [(1, 3)])])
+        with pytest.raises(GroupError, match="partition of . points for a group of degree 4"):
+            D4.is_block_system(Partition(blocks))
         with pytest.raises(GroupError):
-            D4.is_block_system([[0, 1], [1, 2, 3]])
-        with pytest.raises(GroupError):
-            D4.is_block_system([[0, 1], [2]])
+            D4.induced_action(Partition(blocks))
 
     def test_induced_with_kernel(self):
         C4 = PermutationGroup(4, [P(4, [(0, 1, 2, 3)])])
-        img, faithful = C4.induced_action([[0, 2], [1, 3]])
+        img, faithful = C4.induced_action(Partition([[0, 2], [1, 3]]))
         assert img.order() == 2
         assert not faithful  # (0 2)(1 3) acts trivially on the blocks
 
@@ -171,14 +176,14 @@ class TestBlocksAndInducedAction:
         a = Permutation([1, 0, 2, 4, 3, 5])
         b = Permutation([1, 2, 0, 4, 5, 3])
         G = PermutationGroup(6, [a, b])
-        img, faithful = G.induced_action([[0, 3], [1, 4], [2, 5]])
+        img, faithful = G.induced_action(Partition([[0, 3], [1, 4], [2, 5]]))
         assert img.order() == 6
         assert faithful
 
     def test_induced_rejects_non_blocks(self):
         S4 = PermutationGroup(4, [P(4, [(0, 1)]), P(4, [(0, 1, 2, 3)])])
         with pytest.raises(GroupError):
-            S4.induced_action([[0, 1], [2, 3]])
+            S4.induced_action(Partition([[0, 1], [2, 3]]))
 
 
 class TestSuborbits:
