@@ -28,8 +28,8 @@ from symquot import (
 
 def shape_gallery() -> None:
     rows = [
-        ("hyperplanes d=3", ag_design(3, 2), agl(3, 2)),
-        ("hyperplanes d=4", ag_design(4, 3), agl(4, 2)),
+        ("hyperplanes d=3", ag_design(3), agl(3)),
+        ("hyperplanes d=4", ag_design(4), agl(4)),
         ("3-(22,6,1)", steiner_3_22_6(), mathieu("M22")),
         ("3-(12,6,2)", design_3_12_6_2(), mathieu("M11on12")),
     ]
@@ -53,7 +53,7 @@ def orbit_tables() -> None:
     print("\nStabilizer orbit lengths on a neighbouring fiber")
     print("(incident = the block class containing the fixed flag's block):")
     for name, D, G in (
-        ("hyperplanes d=3", ag_design(3, 2), agl(3, 2)),
+        ("hyperplanes d=3", ag_design(3), agl(3)),
         ("3-(22,6,1)", steiner_3_22_6(), mathieu("M22")),
         ("3-(12,6,2)", design_3_12_6_2(), mathieu("M11on12")),
     ):

@@ -39,11 +39,16 @@ from .graphs import (
     has_intra_block_edges,
     is_g_symmetric,
 )
-from .groups_catalog import _field_for, three_transitive_pgammal_list
+from .groups_catalog import (
+    _MATHIEU_EXPECT,
+    _field_for,
+    _gl_order,
+    three_transitive_pgammal_list,
+)
 from .permgroup import PermutationGroup
 
-M22_ORDERS = frozenset({443520, 887040})
-M11_ORDER = 7920
+M22_ORDERS = frozenset(_MATHIEU_EXPECT[tag][1] for tag in ("M22", "AutM22"))
+M11_ORDER = _MATHIEU_EXPECT["M11on11"][1]
 
 HYPOTHESIS_NAMES = (
     "arc_transitive",
@@ -326,11 +331,8 @@ def _geometry(v: int, order: int) -> Optional[str]:
     the points in each), ``"steiner_22"``, ``"hadamard_12"``, or None."""
     d = _binary_dim(v + 1)
     if d is not None and d >= 2:
-        agl = 1 << d
-        for i in range(d):
-            agl *= (1 << d) - (1 << i)
         # dimension 4 admits one proper subgroup with the same block action
-        if order == agl or (d == 4 and order == 40320):
+        if order == (1 << d) * _gl_order(d) or (d == 4 and order == 40320):
             return "affine"
     if v == 21 and order in M22_ORDERS:
         return "steiner_22"

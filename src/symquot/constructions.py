@@ -566,13 +566,8 @@ _TAG_FIELDS = {
     "flag": ("design", "group", "rule"),
     "match": ("group",),
 }
-_TAG_REQUIRED = {
-    "cr": ("q", "d", "s"),
-    "tcr": ("q", "d", "s"),
-    "pair": ("group", "rule"),
-    "flag": ("design", "group", "rule"),
-    "match": ("group",),
-}
+# every field is required but pair's design, which only the design rules read
+_OPTIONAL_FIELD = ("pair", "design")
 _INT_KEYS = ("q", "d", "s")
 
 
@@ -614,7 +609,7 @@ def parse_tag(text: str) -> Provenance:
             val = str(parse_decimal(val, f"key {key!r} at offset {pos}"))
         got[key] = val
         pos += len(part) + 1
-    missing = [k for k in _TAG_REQUIRED[head] if k not in got]
+    missing = [k for k in allowed if k not in got and (head, k) != _OPTIONAL_FIELD]
     if missing:
         raise TagError(f"{head} tag is missing {', '.join(missing)}")
     return Provenance(head, tuple((k, got[k]) for k in allowed if k in got))
@@ -629,7 +624,7 @@ def parse_tag(text: str) -> Provenance:
 _GROUPS = (
     (r"s(\d+)", lambda n: n, lambda n: sym_alt(n, False)),
     (r"a(\d+)", lambda n: n, lambda n: sym_alt(n, True)),
-    (r"agl_d(\d+)", lambda d: 2 ** d if d <= 6 else None, lambda d: agl(d, 2)),
+    (r"agl_d(\d+)", lambda d: 2 ** d if d <= 6 else None, lambda d: agl(d)),
     (r"pgl2_q(\d+)", lambda q: q + 1, lambda q: pgl2(q)),
     (r"psl2_q(\d+)", lambda q: q + 1, lambda q: psl2(q)),
     (r"pgammal_q(\d+)_s(\d+)", lambda q, s: q + 1, lambda q, s: pgammal_subgroup(q, s)),
@@ -654,7 +649,7 @@ _DESIGNS = (
     (
         r"ag_d(\d+)",
         lambda d: 2 ** d * (2 ** d - 1) if d <= 6 else None,
-        lambda d: ag_design(d, d - 1),
+        lambda d: ag_design(d),
     ),
 )
 

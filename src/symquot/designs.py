@@ -2,16 +2,16 @@
 
 Blocks are stored as sorted point tuples; repeated blocks are allowed and
 meaningful (the repetition multiplicity rho is a classification parameter).
-The named constructors (affine geometries, the Steiner triple extension of
-PG(2,4), the Hadamard 3-design on 12 points) validate themselves by counting:
-a constructor that cannot prove its own parameters raises instead of
-returning a wrong object.  Like the group catalog, they cache what they
-build, so callers share one object per design.
+The named constructors (the hyperplanes of AG(d, 2), the Steiner triple
+extension of PG(2,4), the Hadamard 3-design on 12 points) validate
+themselves by counting: a constructor that cannot prove its own
+parameters raises instead of returning a wrong object.  Like the group
+catalog, they cache what they build, so callers share one object per
+design.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -127,52 +127,23 @@ def design_from_partition(graph, partition, block_index: int) -> IncidenceStruct
 
 
 @lru_cache(maxsize=None)
-def ag_design(d: int, e: int) -> IncidenceStructure:
-    """Points and e-dimensional affine subspaces of the binary affine space
-    of dimension d.  Vectors are encoded as integers with bit i = coordinate i."""
-    if not (2 <= e <= d - 1 <= 5):
-        raise DesignError(f"need 2 <= e <= d-1 <= 5, got d={d}, e={e}")
+def ag_design(d: int) -> IncidenceStructure:
+    """Points and hyperplanes of AG(d, 2), the binary affine space of
+    dimension d: each nonzero linear form x -> popcount(x & f) mod 2 splits
+    it into two parallel hyperplanes.  Vectors are encoded as integers with
+    bit i = coordinate i."""
+    if not 3 <= d <= 6:
+        raise DesignError(f"need 3 <= d <= 6, got d={d}")
     n = 1 << d
     blocks = []
-    for basis in _rref_bases(d, e):
-        span = [0]
-        for vec in basis:
-            span += [x ^ vec for x in span]
-        seen = set()
-        cosets = []
-        for x in range(n):
-            rep = min(x ^ s for s in span)
-            if rep not in seen:
-                seen.add(rep)
-                cosets.append(tuple(sorted(rep ^ s for s in span)))
-        blocks.extend(cosets)
+    for f in range(1, n):
+        for side in (0, 1):
+            blocks.append(tuple(x for x in range(n) if (x & f).bit_count() % 2 == side))
     blocks.sort()
     D = IncidenceStructure(n, blocks)
-    if e == d - 1:
-        expect_b, expect_k = 2 * (n - 1), n // 2
-        if D.b != expect_b or any(len(blk) != expect_k for blk in D.blocks):
-            raise DesignError("hyperplane count validation failed")
-    if any(len(blk) != 1 << e for blk in D.blocks):
-        raise DesignError("coset size validation failed")
+    if D.b != 2 * (n - 1) or any(len(blk) != n // 2 for blk in D.blocks):
+        raise DesignError("hyperplane count validation failed")
     return D
-
-
-def _rref_bases(d: int, e: int):
-    """All e-dimensional subspaces of GF(2)^d, each as its canonical
-    reduced-echelon basis (rows as bitmask vectors, bit i = coordinate i)."""
-    for pivots in itertools.combinations(range(d), e):
-        free_pos = [
-            (row, col)
-            for row in range(e)
-            for col in range(pivots[row] + 1, d)
-            if col not in pivots
-        ]
-        for bits in range(1 << len(free_pos)):
-            rows = [1 << pivots[row] for row in range(e)]
-            for idx, (row, col) in enumerate(free_pos):
-                if bits >> idx & 1:
-                    rows[row] |= 1 << col
-            yield rows
 
 
 def _pg2_4_points():

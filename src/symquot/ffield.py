@@ -234,21 +234,12 @@ class FiniteField:
                 return s
         raise FieldError("unreachable: n itself always qualifies")
 
-    def square_class(self, a: FieldElement) -> str:
-        """'zero', 'square' or 'nonsquare'.  In even characteristic every
-        element is a square."""
+    def is_square(self, a: FieldElement) -> bool:
+        """True unless a is a nonzero non-square: zero counts as a square,
+        and in even characteristic every element is one."""
         if a.field is not self:
             raise FieldError("element from a different field")
-        if a.is_zero():
-            return "zero"
-        if self.p == 2:
-            return "square"
-        return "square" if a ** ((self.order - 1) // 2) == self.one else "nonsquare"
-
-    def is_square(self, a: FieldElement) -> bool:
-        """True unless a is a nonzero non-square (zero counts as a square;
-        use square_class to see the zero case distinctly)."""
-        return self.square_class(a) != "nonsquare"
+        return a.is_zero() or self.p == 2 or a ** ((self.order - 1) // 2) == self.one
 
     def primitive_element(self) -> FieldElement:
         """Least element in enumeration order of multiplicative order q-1."""

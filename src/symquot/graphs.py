@@ -142,7 +142,7 @@ class Partition:
 
     __slots__ = ("n", "blocks", "block_of", "_masks")
 
-    def __init__(self, blocks: Sequence[Sequence[int]], n: int | None = None):
+    def __init__(self, blocks: Sequence[Sequence[int]]):
         frozen = []
         seen: set[int] = set()
         for blk in blocks:
@@ -155,12 +155,12 @@ class Partition:
             frozen.append(t)
         if not frozen:
             raise GraphError("partition needs at least one block")
-        count = n if n is not None else max(seen) + 1
-        if seen != set(range(count)):
+        n = max(seen) + 1
+        if seen != set(range(n)):
             raise GraphError("blocks do not cover the vertex set")
-        self.n = count
+        self.n = n
         self.blocks: tuple[tuple[int, ...], ...] = tuple(frozen)
-        block_of = [0] * count
+        block_of = [0] * n
         for bi, blk in enumerate(frozen):
             for x in blk:
                 block_of[x] = bi
@@ -287,6 +287,8 @@ def cross_counts(g: Graph, P: Partition, i: int, j: int) -> tuple[set[int], int,
     """The bipartite graph between blocks i and j: its distinct nonzero
     valencies on either side, its edge count, and its support in block i
     (the vertices of block i with a neighbour in block j)."""
+    if P.n != g.n:
+        raise GraphError("partition does not match the graph")
     if i == j:
         raise GraphError(f"block {i} is paired with itself")
     mask_i, mask_j = P.block_mask(i), P.block_mask(j)

@@ -203,9 +203,7 @@ def _gl_order(d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def agl(d: int, two: int = 2) -> PermutationGroup:
-    if two != 2:
-        raise CatalogError("only the binary affine groups are cataloged")
+def agl(d: int) -> PermutationGroup:
     if not 2 <= d <= 6:
         raise CatalogError(f"d={d} out of range 2..6")
     n = 1 << d
@@ -214,7 +212,7 @@ def agl(d: int, two: int = 2) -> PermutationGroup:
     transvection = _gl_perm(d, [3 if i == 0 else 1 << i for i in range(d)])
     G = PermutationGroup(n, [translation, shift, transvection])
     order = n * _gl_order(d)
-    return _validated(G, n, order, 4 if d == 2 else 3, f"agl({d},2)")
+    return _validated(G, n, order, 4 if d == 2 else 3, f"agl({d})")
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +270,7 @@ def z24_a7() -> PermutationGroup:
     alternating group of degree 7 inside its linear group."""
     mats = _fixture_data()["a7_gl42"]
     lin = [_gl_perm(4, rows) for rows in mats]
-    parent = agl(4, 2)
+    parent = agl(4)
     translation = Permutation([x ^ 1 for x in range(16)])
     G = PermutationGroup(16, [translation] + lin)
     _validated(G, 16, 40320, 3, "z24_a7")

@@ -66,12 +66,12 @@ def s5():
 
 @pytest.fixture(scope="module")
 def agl3():
-    return agl(3, 2)
+    return agl(3)
 
 
 @pytest.fixture(scope="module")
 def ag3():
-    return ag_design(3, 2)
+    return ag_design(3)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ def petersen_triple():
         )
 
     G = PermutationGroup(10, [lift([1, 2, 3, 4, 0]), lift([1, 0, 2, 3, 4])])
-    P = Partition([(i,) for i in range(10)], 10)
+    P = Partition([(i,) for i in range(10)])
     return adhoc(g, G, P, "petersen")
 
 
@@ -112,7 +112,7 @@ def multipartite_triple(transitive=True):
         (i, j) for i in range(6) for j in range(i + 1, 6) if i % 3 != j % 3
     ]
     g = Graph.from_edges(6, edges)
-    P = Partition([(0, 3), (1, 4), (2, 5)], 6)
+    P = Partition([(0, 3), (1, 4), (2, 5)])
     rotate = Permutation([1, 2, 0, 4, 5, 3])
     if transitive:
         gens = [
@@ -133,7 +133,7 @@ def cube_triple():
         (0, 4), (1, 5), (2, 6), (3, 7),
     ]
     g = Graph.from_edges(8, edges)
-    P = Partition([(0, 6), (1, 7), (2, 4), (3, 5)], 8)
+    P = Partition([(0, 6), (1, 7), (2, 4), (3, 5)])
     G = PermutationGroup(8, [
         Permutation([1, 2, 3, 0, 5, 6, 7, 4]),
         Permutation([0, 4, 5, 1, 3, 7, 6, 2]),
@@ -149,7 +149,7 @@ def pentagons_triple():
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     g = Graph.from_edges(10, edges)
-    P = Partition([(i, 5 + i) for i in range(5)], 10)
+    P = Partition([(i, 5 + i) for i in range(5)])
     rho = Permutation([1, 2, 3, 4, 0, 6, 7, 8, 9, 5])
     tau = Permutation([5, 7, 9, 6, 8, 0, 2, 4, 1, 3])
     return adhoc(g, PermutationGroup(10, [rho, tau]), P, "pentagons")
@@ -178,7 +178,7 @@ class TestHypotheses:
 
     def test_internal_edges_detected(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        P = Partition([(0, 1), (2, 3)], 4)
+        P = Partition([(0, 1), (2, 3)])
         G = PermutationGroup(4, [Permutation([1, 0, 3, 2])])
         report = verify_hypotheses(adhoc(g, G, P, "c4"))
         assert not report["no_internal_edges"]
@@ -208,7 +208,7 @@ class TestComputeParams:
     def test_not_regular(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         G = PermutationGroup(3, [Permutation([2, 1, 0])])
-        P = Partition([(0,), (1,), (2,)], 3)
+        P = Partition([(0,), (1,), (2,)])
         with pytest.raises(ClassificationError, match="valency"):
             compute_params(adhoc(g, G, P, "path"))
 
@@ -217,7 +217,7 @@ class TestComputeParams:
         # while vertex 1 sends one
         g = Graph.from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 4), (3, 5), (4, 5)])
         G = PermutationGroup(6, [Permutation(range(6))])
-        P = Partition([(0, 1), (2, 3), (4, 5)], 6)
+        P = Partition([(0, 1), (2, 3), (4, 5)])
         with pytest.raises(ClassificationError, match="uneven"):
             compute_params(adhoc(g, G, P, "lopsided"))
 
@@ -227,14 +227,14 @@ class TestComputeParams:
             [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 5), (2, 4), (3, 5), (4, 5)],
         )
         G = PermutationGroup(6, [Permutation(range(6))])
-        P = Partition([(0, 1), (2, 3), (4, 5)], 6)
+        P = Partition([(0, 1), (2, 3), (4, 5)])
         with pytest.raises(ClassificationError, match="vary"):
             compute_params(adhoc(g, G, P, "ragged"))
 
     def test_edgeless(self):
         g = Graph.from_edges(4, [])
         G = PermutationGroup(4, [Permutation([1, 0, 3, 2])])
-        P = Partition([(0, 1), (2, 3)], 4)
+        P = Partition([(0, 1), (2, 3)])
         with pytest.raises(ClassificationError, match="no edges"):
             compute_params(adhoc(g, G, P, "empty"))
 
@@ -615,7 +615,7 @@ def test_two_transitive_within_block_matches_pair_bfs(case):
 
 @pytest.mark.parametrize(
     "point_group",
-    [sym_alt(4, False), sym_alt(5, False), agl(3, 2), mathieu("M11on12"), sym_alt(6, True)],
+    [sym_alt(4, False), sym_alt(5, False), agl(3), mathieu("M11on12"), sym_alt(6, True)],
     ids=["s4", "s5", "agl_d3", "m11_12", "a6"],
 )
 def test_two_transitive_within_block_on_pair_lifts(point_group):

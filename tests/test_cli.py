@@ -401,6 +401,11 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "symquot: group degree does not match the design\n"
 
+    def test_affine_design_dimension_refused(self):
+        code, out, err = invoke("construct", "flag:design=ag_d2:group=agl_d2:rule=same_block")
+        assert code == 1 and out == ""
+        assert err == "symquot: need 3 <= d <= 6, got d=2\n"
+
     GROUP_TOKENS = [
         "s5", "a7", "agl_d3", "m11", "m11_12", "m12", "m22", "aut_m22",
         "m23", "m24", "z24_a7", "pgl2_q7", "psl2_q11", "pgammal_q8_s1",
@@ -575,7 +580,7 @@ def test_params_verb_on_a_ragged_forged_triple(monkeypatch):
         6, [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 5), (2, 4), (3, 5), (4, 5)]
     )
     G = PermutationGroup(6, [Permutation(range(6))])
-    P = Partition([(0, 1), (2, 3), (4, 5)], 6)
+    P = Partition([(0, 1), (2, 3), (4, 5)])
     T = constructions.Triple(g, G, P, Provenance("ragged"))
     monkeypatch.setattr(cli, "build_triple", lambda tag: T)
     want = (

@@ -117,11 +117,11 @@ def _images(G):
 PAIR_LIFTS = {
     **{f"s{m}": (lambda m=m: sym_alt(m, False)) for m in range(3, 8)},
     "a6": lambda: sym_alt(6, True),
-    "agl_d3": lambda: agl(3, 2),
+    "agl_d3": lambda: agl(3),
     "pgl2_q7": lambda: pgl2(7),
 }
 FLAG_LIFTS = {
-    "ag_d3/agl_d3": lambda: flag_graph(AG3, agl(3, 2), SAME_BLOCK),
+    "ag_d3/agl_d3": lambda: flag_graph(AG3, agl(3), SAME_BLOCK),
     "h12/m11_12": lambda: flag_graph(
         design_3_12_6_2(), mathieu("M11on12"), SAME_BLOCK
     ),
@@ -161,7 +161,7 @@ class TestLiftedGroup:
     def test_fibres_are_the_triple_partition(self):
         for T in (
             pair_graph(sym_alt(5, False), SAME_SECOND),
-            flag_graph(AG3, agl(3, 2), SAME_BLOCK),
+            flag_graph(AG3, agl(3), SAME_BLOCK),
             star_transform(pair_graph(sym_alt(5, False), ALL_DISTINCT)),
         ):
             assert isinstance(T.group, LiftedGroup)
@@ -356,18 +356,18 @@ class TestPairRules:
         assert tag.params == (5, 4)
 
     def test_affine_plane_rule(self):
-        T = pair_graph(agl(3, 2), AFFINE_PLANE)
+        T = pair_graph(agl(3), AFFINE_PLANE)
         assert measure(T) == (7, 7, 6, 1)
         tag = recognize_structure(T.graph)
         assert tag.kind == "DisjointCompleteMultipartite"
         assert tag.params == (7, 4, 2)
 
     def test_affine_plane_d4(self):
-        tag = recognize_structure(pair_graph(agl(4, 2), AFFINE_PLANE).graph)
+        tag = recognize_structure(pair_graph(agl(4), AFFINE_PLANE).graph)
         assert tag.params == (15, 8, 2)
 
     def test_affine_rules_partition_the_distinct_rule(self):
-        G = agl(3, 2)
+        G = agl(3)
         plane = pair_graph(G, AFFINE_PLANE).graph
         rest = pair_graph(G, AFFINE_NON_PLANE).graph
         both = pair_graph(G, ALL_DISTINCT).graph
@@ -413,31 +413,31 @@ class TestPairRules:
             pair_graph(G, ALL_DISTINCT)
 
 
-AG3 = ag_design(3, 2)
+AG3 = ag_design(3)
 
 
 class TestFlagRules:
     def test_same_block_shape(self):
-        T = flag_graph(AG3, agl(3, 2), SAME_BLOCK, design_label="ag:d=3:e=2")
+        T = flag_graph(AG3, agl(3), SAME_BLOCK, design_label="ag:d=3:e=2")
         tag = recognize_structure(T.graph)
         assert tag.kind == "DisjointComplete"
         assert tag.params == (14, 4)
         assert T.provenance.tag == "flag:design=ag:d=3:e=2:rule=same_block"
 
     def test_disjoint_blocks_shape(self):
-        tag = recognize_structure(flag_graph(AG3, agl(3, 2), DISJOINT_BLOCKS).graph)
+        tag = recognize_structure(flag_graph(AG3, agl(3), DISJOINT_BLOCKS).graph)
         assert tag.kind == "DisjointCompleteBipartite"
         assert tag.params == (7, 4)
 
     def test_common_two_points_parameters(self):
-        T = flag_graph(AG3, agl(3, 2), COMMON_TWO_POINTS)
+        T = flag_graph(AG3, agl(3), COMMON_TWO_POINTS)
         assert measure(T) == (7, 7, 3, 2)
         assert T.graph.valency() == 6
         quot = recognize_structure(quotient_graph(T.graph, T.partition))
         assert quot.params == (1, 8)
 
     def test_opposite_parameters(self):
-        T = flag_graph(AG3, agl(3, 2), OPPOSITE_NON_COMPLEMENT)
+        T = flag_graph(AG3, agl(3), OPPOSITE_NON_COMPLEMENT)
         assert measure(T)[3] == 3
 
     def test_opposite_needs_complement_closure(self):
@@ -470,7 +470,7 @@ class TestFlagRules:
         from symquot.constructions import FlagRule
 
         with pytest.raises(ConstructionError):
-            flag_graph(AG3, agl(3, 2), FlagRule("sideways"))
+            flag_graph(AG3, agl(3), FlagRule("sideways"))
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +480,8 @@ class TestFlagRules:
 
 REFERENCE_DESIGNS = {
     "h12": design_3_12_6_2,
-    "ag_d3": lambda: ag_design(3, 2),
-    "ag_d4": lambda: ag_design(4, 3),
+    "ag_d3": lambda: ag_design(3),
+    "ag_d4": lambda: ag_design(4),
     "s22": steiner_3_22_6,
 }
 
@@ -634,7 +634,7 @@ class TestStar:
     def test_flag_graph_pairing(self):
         # complementing the incidence rectangles swaps the two-common-points
         # rule with the shared-block rule, in both directions
-        G = agl(3, 2)
+        G = agl(3)
         common = flag_graph(AG3, G, COMMON_TWO_POINTS)
         same = flag_graph(AG3, G, SAME_BLOCK)
         assert star_transform(common).graph == same.graph
@@ -822,10 +822,10 @@ class TestSharedRuleGraph:
 
     def test_an_equal_design_object_lists_its_own(self):
         # the key holds the design itself, not what it equals
-        D = ag_design(3, 2)
+        D = ag_design(3)
         copy = IncidenceStructure(D.v, D.blocks)
         assert copy == D
-        G = agl(3, 2)
+        G = agl(3)
         T = flag_graph(D, G, SAME_BLOCK)
         U = flag_graph(copy, G, SAME_BLOCK)
         assert U.graph is not T.graph and U.graph == T.graph

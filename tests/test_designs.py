@@ -1,5 +1,6 @@
 """Incidence structure counting against small hand-checkable cases."""
 
+import hashlib
 from functools import cached_property
 
 import pytest
@@ -101,7 +102,7 @@ class TestParams:
         assert D.rho is None
 
     def test_binary_affine_hyperplanes_of_dimension_six(self):
-        assert IncidenceStructure(64, ag_design(6, 5).blocks).lambda_t(3) == 15
+        assert IncidenceStructure(64, ag_design(6).blocks).lambda_t(3) == 15
 
 
 class TestConstruction:
@@ -248,29 +249,32 @@ class TestDesignFromPartition:
             design_from_partition(g, part, 1)
 
 
+AG_BLOCKS_SHA256 = "c8ddc790cf6311b94fa54ebf5c1876e8fe2943de79c259adbcf0774560260fba"
+
+
 class TestAffineDesign:
     def test_planes_of_dimension_three(self):
-        D = ag_design(3, 2)
+        D = ag_design(3)
         assert _vbrk(D) == (8, 14, 7, 4)
         assert [D.lambda_t(t) for t in (1, 2, 3, 4)] == [7, 3, 1, None]
 
     def test_hyperplanes_of_dimension_four(self):
-        D = ag_design(4, 3)
+        D = ag_design(4)
         assert _vbrk(D) == (16, 30, 15, 8)
         assert [D.lambda_t(t) for t in (1, 2, 3)] == [15, 7, 3]
 
     def test_translation_invariance(self):
-        D = ag_design(3, 2)
+        D = ag_design(3)
         for t in range(1, 8):
             assert D.preserves(Permutation([x ^ t for x in range(8)]))
 
-    @pytest.mark.parametrize("d,e", [(3, 1), (2, 1), (7, 3), (4, 4)])
-    def test_rejects_out_of_range(self, d, e):
-        with pytest.raises(DesignError):
-            ag_design(d, e)
+    @pytest.mark.parametrize("d", [0, 2, 7])
+    def test_rejects_out_of_range(self, d):
+        with pytest.raises(DesignError, match=f"need 3 <= d <= 6, got d={d}"):
+            ag_design(d)
 
     def test_blocks_are_cosets(self):
-        D = ag_design(4, 2)
+        D = ag_design(4)
         for blk in D.blocks:
             base = blk[0]
             span = {x ^ base for x in blk}
@@ -278,6 +282,16 @@ class TestAffineDesign:
             for a in span:
                 for b in span:
                     assert (a ^ b) in span
+
+    def test_blocks_are_pinned(self):
+        """The blocks, in order, for every dimension the tags reach, as
+        built before the linear-form construction replaced the enumeration
+        of reduced-echelon bases."""
+        digest = hashlib.sha256()
+        for d in range(3, 7):
+            for blk in ag_design(d).blocks:
+                digest.update(f"{d} {' '.join(map(str, blk))}\n".encode())
+        assert digest.hexdigest() == AG_BLOCKS_SHA256
 
 
 class TestBundledDesigns:

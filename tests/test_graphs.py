@@ -237,6 +237,11 @@ class TestBipartiteBetween:
         with pytest.raises(GraphError):
             cross_counts(complete_graph(3), Partition([(0, 1), (2,)]), 1, 1)
 
+    def test_partition_larger_than_graph(self):
+        g = Graph(3, nbrs=[(1,), (0,), ()])
+        with pytest.raises(GraphError, match="partition does not match the graph"):
+            cross_counts(g, Partition([(0, 1), (2, 3)]), 0, 1)
+
 
 class TestRecognition:
     CASES = [

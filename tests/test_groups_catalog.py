@@ -191,21 +191,19 @@ AGL_ORDERS = [(2, 24), (3, 1344), (4, 322560), (5, 319979520)]
 class TestAffineGroups:
     @pytest.mark.parametrize("d,order", AGL_ORDERS)
     def test_orders(self, d, order):
-        assert agl(d, 2).order() == order
+        assert agl(d).order() == order
 
     def test_two_dimensional_is_fully_symmetric(self):
-        assert agl(2, 2).transitivity_degree() == 4
+        assert agl(2).transitivity_degree() == 4
 
     def test_three_transitive_beyond(self):
-        assert agl(3, 2).transitivity_degree() == 3
+        assert agl(3).transitivity_degree() == 3
 
     def test_out_of_range(self):
         with pytest.raises(CatalogError):
-            agl(1, 2)
+            agl(1)
         with pytest.raises(CatalogError):
-            agl(7, 2)
-        with pytest.raises(CatalogError):
-            agl(3, 3)
+            agl(7)
 
 
 class TestSymAlt:
@@ -228,7 +226,7 @@ class TestSearchedGroups:
     def test_affine_overgroup(self):
         G = z24_a7()
         assert G.order() == 40320
-        parent = agl(4, 2)
+        parent = agl(4)
         assert all(g in parent for g in G.generators)
 
     def test_three_point_stabilizer_footprint(self):

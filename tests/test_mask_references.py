@@ -331,7 +331,7 @@ def test_helpers_match_reference_on_built_triples(tag):
 @pytest.mark.parametrize(
     "design,group",
     [
-        (lambda: ag_design(3, 2), lambda: agl(3, 2)),
+        (lambda: ag_design(3), lambda: agl(3)),
         (design_3_12_6_2, lambda: mathieu("M11on12")),
         (steiner_3_22_6, lambda: mathieu("M22")),
     ],
@@ -349,7 +349,7 @@ def test_flag_lift_matches_reference(design, group):
 
 
 def test_pair_lift_matches_reference():
-    for G in (sym_alt(4, False), sym_alt(6, True), agl(3, 2)):
+    for G in (sym_alt(4, False), sym_alt(6, True), agl(3)):
         L = pair_action(G)
         m = G.degree
         assert [g.images for g in L.generators] == [
